@@ -150,7 +150,7 @@ def operator_norm(program: ConicProgram, tol: float = 1e-4, max_iter: int = 2000
     for it in range(1, max_iter + 1):
         w = A @ v
         sigma_new = float(np.linalg.norm(w))
-        v = A.T @ w
+        v = program.adjoint(w)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return OperatorNorm(0.0, True, it)
@@ -187,8 +187,8 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     certifies a subgradient of norm at most eta/nu, or when the iteration
     budget runs out.
     """
-    c = program.objective
-    b = program.constants
+    c_over_nu = program.objective / nu
+    theta_b = theta + program.constants
     A = program.operator
     project = program.simple_set.project
     threshold = eta_over_nu / (2.0 * L)
@@ -199,8 +199,8 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     ell = 0
     while True:
         ell += 1
-        s = theta + b - A @ x2
-        grad = c / nu - A.T @ program.project_dual(s)
+        s = theta_b - A @ x2
+        grad = c_over_nu - program.adjoint(program.project_dual(s))
         x1 = project(x2 - grad / L)
         if np.linalg.norm(x1 - x2) <= threshold:
             return x1, ell, "step_small"

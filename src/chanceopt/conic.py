@@ -10,13 +10,21 @@ triangle row-major with off-diagonal entries scaled by sqrt(2), which
 preserves inner products.  With that convention the adjoint of the stacked
 constraint operator is the plain transpose of its matrix, so operator
 norms computed on the matrix are the true operator norms.
+
+The solver applies the operator, its adjoint and the blockwise PSD
+projection once per inner iteration, so their set-up is paid once per
+program: the stacked matrix and its transpose (kept as CSR) are built on
+first use, and so is the projection plan, which groups blocks by
+dimension and holds the index maps between the stacked svec vector and
+the batched dense matrices.  A 1x1 block's cone is the half-line, so its
+projection is a clip at zero with no eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,6 +104,17 @@ class SimpleSet:
         return float(np.sqrt(np.sum(widths**2)))
 
 
+class _ProjGroup(NamedTuple):
+    """Index maps for projecting all blocks of one dimension at once."""
+
+    dim: int
+    idx: np.ndarray          # (n*tri,): stacked positions of the members' svec entries
+    gather: np.ndarray       # (n, dim, dim): stacked position of entry (i, j)
+    entry_scale: np.ndarray  # (dim, dim): svec scale of entry (i, j)
+    triu: np.ndarray         # (n*tri,): positions of those entries in the flat batch
+    scale: np.ndarray        # (n*tri,): their svec scale
+
+
 @dataclass
 class ConicProgram:
     objective: np.ndarray
@@ -104,6 +123,7 @@ class ConicProgram:
     meta: dict = field(default_factory=dict)
 
     _stacked: Optional[sp.csr_matrix] = field(default=None, repr=False)
+    _stacked_t: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _stacked_const: Optional[np.ndarray] = field(default=None, repr=False)
     _slices: Optional[list] = field(default=None, repr=False)
     _proj_plan: Optional[list] = field(default=None, repr=False)
@@ -117,6 +137,7 @@ class ConicProgram:
     def _ensure_stacked(self):
         if self._stacked is None:
             self._stacked = sp.vstack([b.coeffs for b in self.blocks], format="csr")
+            self._stacked_t = self._stacked.T.tocsr()
             self._stacked_const = np.concatenate([svec(b.constant) for b in self.blocks])
             slices, off = [], 0
             for b in self.blocks:
@@ -145,7 +166,9 @@ class ConicProgram:
         return self.operator @ x
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        return self.operator.T @ z
+        """The transpose product A^T z, with A^T cached as CSR."""
+        self._ensure_stacked()
+        return self._stacked_t @ z
 
     def block_values(self, x: np.ndarray) -> list:
         """Dense block matrices sum_i x_i C_i - C_0 at a point."""
@@ -164,37 +187,45 @@ class ConicProgram:
         plan = []
         for dim, members in sorted(by_dim.items()):
             rows, cols, scale = triu_info(dim)
-            idx = np.array(
-                [np.arange(self._slices[i].start, self._slices[i].stop)
-                 for i in members]
-            )
-            plan.append((dim, idx, rows, cols, scale))
+            idx = np.array([np.arange(self._slices[i].start, self._slices[i].stop)
+                            for i in members])
+            tri = np.empty((dim, dim), dtype=np.intp)
+            tri[rows, cols] = tri[cols, rows] = np.arange(len(rows))
+            n = len(members)
+            plan.append(_ProjGroup(
+                dim=dim, idx=idx.ravel(), gather=idx[:, tri], entry_scale=scale[tri],
+                triu=(np.arange(n)[:, None] * dim * dim + rows * dim + cols).ravel(),
+                scale=np.tile(scale, n),
+            ))
         self._proj_plan = plan
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
 
         The PSD cone is self-dual, so this is both the primal and the dual
-        projection.  Blocks of equal dimension share one batched
-        eigendecomposition.
+        projection.  The plan is built once per program: blocks of equal
+        dimension are gathered straight from ``s`` into one batch of dense
+        symmetric matrices and share one batched eigendecomposition, whose
+        clipped reconstruction is written back through the upper-triangle
+        index.  1x1 blocks are clipped at zero without an eigendecomposition.
         """
         self._ensure_plan()
         out = np.empty_like(s)
-        for dim, idx, rows, cols, scale in self._proj_plan:
-            entries = s[idx] / scale
-            mats = np.zeros((idx.shape[0], dim, dim))
-            mats[:, rows, cols] = entries
-            mats[:, cols, rows] = entries
+        for g in self._proj_plan:
+            if g.dim == 1:
+                out[g.idx] = np.maximum(s[g.idx], 0.0)
+                continue
+            mats = s[g.gather] / g.entry_scale
             try:
                 vals, vecs = np.linalg.eigh(mats)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
-                    f"eigendecomposition failed on {idx.shape[0]} blocks of dim {dim} "
-                    f"(finite={np.all(np.isfinite(mats))})"
+                    f"eigendecomposition failed on {len(mats)} blocks of dim "
+                    f"{g.dim} (finite={np.all(np.isfinite(mats))})"
                 ) from exc
-            np.clip(vals, 0.0, None, out=vals)
+            np.maximum(vals, 0.0, out=vals)
             proj = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-            out[idx] = proj[:, rows, cols] * scale
+            out[g.idx] = proj.reshape(-1)[g.triu] * g.scale
         return out
 
     def cone_distance(self, x: np.ndarray) -> float:

@@ -71,8 +71,17 @@ def _trace_summary(trace: SolverTrace) -> dict:
         "residual": trace.final_residual,
         "objective": trace.final_objective,
         "sigma_max": trace.sigma_max,
+        "sigma_converged": trace.sigma_converged,
         "cap_limited": any(r.cap_limited for r in trace.records),
     }
+
+
+def _flag_trace(res: OrderResult, trace: SolverTrace, prefix: str) -> None:
+    """Flag a solve that did not converge, or whose operator norm did not."""
+    if trace.status != "converged":
+        res.flags.append(f"{prefix}_{trace.status}")
+    if not trace.sigma_converged and "operator_norm_unconverged" not in res.flags:
+        res.flags.append("operator_norm_unconverged")
 
 
 def input_hash(path) -> str:
@@ -143,6 +152,14 @@ def resolve_order(problem: ChanceProblem, options: RunOptions) -> int:
     return options.order if options.order >= 1 else min_relaxation_order(problem)
 
 
+def _refine_mass(res: OrderResult, program, options: RunOptions, mode: str) -> float:
+    """Solve one refinement program, record its status, return its mass."""
+    trace = alcc_solve(program, options.solver)
+    res.solver["refine"][mode] = _trace_summary(trace)
+    _flag_trace(res, trace, f"refine_{mode}")
+    return decode(program, trace.x).mass
+
+
 def _solve_order(scaled: ScaledProblem, options: RunOptions, order: int,
                  refine: bool, verify: bool) -> OrderResult:
     res = OrderResult(order=order)
@@ -158,22 +175,20 @@ def _solve_order(scaled: ScaledProblem, options: RunOptions, order: int,
     res.p_sdp = sol.probability
     res.x = [float(v) for v in sol.x]
     res.solver = _trace_summary(trace)
-    if trace.status != "converged":
-        res.flags.append(f"solver_{trace.status}")
+    _flag_trace(res, trace, "solver")
 
     if refine:
         t0 = time.perf_counter()
+        res.solver["refine"] = {}
         ind = build_refinement_sdp(scaled, sol.x_scaled, order, mode="indicator",
                                    basis=options.basis)
-        tr = alcc_solve(ind, options.solver)
-        res.p_refine_indicator = decode(ind, tr.x).mass
+        res.p_refine_indicator = _refine_mass(res, ind, options, "indicator")
         if options.refine_mode != "indicator":
             wt = build_refinement_sdp(
                 scaled, sol.x_scaled, order, mode=options.refine_mode,
                 weight_index=options.refine_index, basis=options.basis,
             )
-            tr = alcc_solve(wt, options.solver)
-            res.p_refine_weighted = decode(wt, tr.x).mass
+            res.p_refine_weighted = _refine_mass(res, wt, options, options.refine_mode)
         res.wall_times["refine"] = time.perf_counter() - t0
 
     if verify:

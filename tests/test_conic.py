@@ -5,8 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 import util
-from chanceopt.conic import PsdBlock, SimpleSet, svec
-from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp
+from chanceopt import problems
+from chanceopt.alcc import psd_project
+from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
+from chanceopt.errors import NumericalError
+from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, scale_problem
 
 
 class TestSimpleSet:
@@ -53,6 +56,79 @@ class TestBlocks:
         lhs = float(z @ prog.apply(x))
         rhs = float(prog.adjoint(z) @ x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _negative_scalar_block_program():
+    """Hand-built program with 1x1 blocks around larger ones."""
+    dims = [1, 3, 1, 2, 3]
+    blocks = [PsdBlock(dim=d, label=f"b{i}",
+                       coeffs=sp.csr_matrix((d * (d + 1) // 2, 2)),
+                       constant=np.zeros((d, d)))
+              for i, d in enumerate(dims)]
+    box = SimpleSet(lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+                    pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
+    return ConicProgram(objective=np.zeros(2), blocks=blocks, simple_set=box)
+
+
+def _projection_programs():
+    union, _ = problems.CONSTRUCTORS["example2_union"]()
+    return {
+        "toy_d2": build_chance_sdp(util.toy_problem(), 2),
+        "union_d2": build_chance_sdp(scale_problem(union), 2),
+        "scalar_blocks": _negative_scalar_block_program(),
+    }
+
+
+class TestProjectDual:
+    """The batched projection against a per-block oracle on each block's slice."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        return _projection_programs()
+
+    def test_block_dimensions(self, programs):
+        dims = {k: [b.dim for b in p.blocks] for k, p in programs.items()}
+        assert dims["toy_d2"] == [6, 3, 1, 3, 6]
+        assert dims["union_d2"] == [66, 11, 11, 66, 11, 11, 21, 66]
+
+    @pytest.mark.parametrize("name", ["toy_d2", "union_d2", "scalar_blocks"])
+    def test_matches_blockwise_oracle(self, programs, name):
+        prog = programs[name]
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal(prog.operator.shape[0])
+        if name == "scalar_blocks":
+            s[prog.block_slices[0]] = -0.7
+            s[prog.block_slices[2]] = 0.4
+        got = prog.project_dual(s)
+        for blk, sl in zip(prog.blocks, prog.block_slices):
+            want = svec(psd_project(unsvec(s[sl], blk.dim)).values)
+            assert np.max(np.abs(got[sl] - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        if name == "scalar_blocks":
+            assert got[prog.block_slices[0]][0] == 0.0
+            assert got[prog.block_slices[2]][0] == 0.4
+
+    @pytest.mark.parametrize("name", ["toy_d2", "union_d2", "scalar_blocks"])
+    def test_idempotent(self, programs, name):
+        prog = programs[name]
+        s = np.random.default_rng(8).standard_normal(prog.operator.shape[0])
+        once = prog.project_dual(s)
+        assert np.max(np.abs(prog.project_dual(once) - once)) <= 1e-10
+
+    def test_failed_eigendecomposition_raises(self, programs):
+        prog = programs["scalar_blocks"]
+        s = np.zeros(prog.operator.shape[0])
+        s[prog.block_slices[1]] = np.nan
+        with pytest.raises(NumericalError, match="2 blocks of dim 3"):
+            prog.project_dual(s)
+
+    @pytest.mark.parametrize("name", ["toy_d2", "union_d2"])
+    def test_adjoint_is_transpose_on_repeated_calls(self, programs, name):
+        prog = programs[name]
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            z = rng.standard_normal(prog.operator.shape[0])
+            assert np.allclose(prog.adjoint(z), prog.operator.T @ z,
+                               rtol=1e-13, atol=1e-13)
 
 
 def _parse_export(path):

@@ -43,6 +43,42 @@ class TestRunPipeline:
         assert res.p_refine_weighted is not None
         assert res.p_refine_indicator <= res.p_sdp + 1e-3
 
+    def test_refinement_statuses_reported(self):
+        report = run_pipeline(util.toy_problem(), quick_options(), "refine")
+        res = report.results[0]
+        refine = res.solver["refine"]
+        assert set(refine) == {"indicator", "product"}
+        for summary in refine.values():
+            assert summary["status"] == "converged"
+            assert summary["inner_iterations"] > 0
+        assert res.flags == []
+
+    def test_refinement_non_convergence_flagged(self):
+        solver = SolverParams(nu0=1.0, tol=1e-12, max_outer=1, max_inner_cap=50)
+        report = run_pipeline(util.toy_problem(), quick_options(solver=solver),
+                              "refine")
+        res = report.results[0]
+        assert res.solver["refine"]["indicator"]["status"] == "max_outer"
+        assert res.solver["refine"]["product"]["status"] == "max_outer"
+        assert "refine_indicator_max_outer" in res.flags
+        assert "refine_product_max_outer" in res.flags
+        assert report.status == "complete_with_flags"
+
+    def test_operator_norm_unconverged_flagged(self, monkeypatch):
+        import chanceopt.alcc as alcc
+
+        real = alcc.operator_norm
+
+        def unconverged(*args, **kw):
+            return real(*args, **kw)._replace(converged=False)
+
+        monkeypatch.setattr(alcc, "operator_norm", unconverged)
+        report = run_pipeline(util.toy_problem(), quick_options(), "solve")
+        res = report.results[0]
+        assert res.solver["sigma_converged"] is False
+        assert res.flags == ["operator_norm_unconverged"]
+        assert report.status == "complete_with_flags"
+
     def test_verify_at_fixed_point(self):
         report = run_pipeline(util.toy_problem(), quick_options(), "verify",
                               verify_at=[0.5])
