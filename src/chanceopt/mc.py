@@ -7,6 +7,18 @@ points count as inside.  The grid search evaluates that estimator on a
 uniform grid over the decision box with a fixed sample budget per point
 and per-point derived seeds, so results do not depend on evaluation
 order.
+
+Membership is decided by a :class:`UnionEvaluator`, compiled once per
+problem.  Its term table stacks every polynomial of every set, set by set,
+into P rows and splits each term's exponent into a decision part and a
+random-variable part; the distinct random-variable parts are the K
+monomials the draws are evaluated on.  For a decision ``x`` the table
+folds into a (P, K) coefficient matrix ``C`` (each term contributes
+``coef * x**alpha`` to its row and monomial).  For a block of draws the K
+monomial rows ``M`` are built once from the transposed draws, and one
+``C @ M`` evaluates all P polynomials; a draw is inside a set when all of
+the set's rows (a contiguous range) are ``>= 0``, and inside the union
+when it is inside any set.
 """
 
 from __future__ import annotations
@@ -24,6 +36,11 @@ from .relaxation import ChanceProblem
 
 _GRID_GUARD = 10**7
 
+# Draws per evaluation block.  The block buffers belong to the evaluator and
+# are reused by every block and every call, so a grid point touches no fresh
+# pages.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -38,20 +55,73 @@ class McConfig:
             raise ValueError("grid_points must be at least 1")
 
 
-def _union_membership(problem: ChanceProblem, x: np.ndarray,
-                      draws: np.ndarray) -> np.ndarray:
-    points = np.empty((draws.shape[0], problem.n + problem.m))
-    points[:, : problem.n] = x
-    points[:, problem.n:] = draws
-    member = np.zeros(draws.shape[0], dtype=bool)
-    for s in problem.sets:
-        inside = ~member          # only points not yet counted need checking
-        for p in s:
-            if not inside.any():
-                break
-            inside[inside] = p.eval_many(points[inside]) >= 0.0
-        member |= inside
-    return member
+class UnionEvaluator:
+    """Union membership of random draws at a decision, compiled per problem.
+
+    The block work buffers belong to the instance and are reused by every
+    call, so one instance must not be shared between threads.
+    """
+
+    def __init__(self, problem: ChanceProblem):
+        n = problem.n
+        polys = [p for s in problem.sets for p in s]
+        sizes = [len(s) for s in problem.sets]
+        ends = np.cumsum(sizes, dtype=int)
+        self._set_rows = list(zip(ends - sizes, ends))
+        terms = [(row, alpha, coef) for row, p in enumerate(polys)
+                 for alpha, coef in p.terms.items()]
+        monomials = sorted({alpha[n:] for _, alpha, _ in terms}, key=grevlex_key)
+        column = {beta: k for k, beta in enumerate(monomials)}
+        self.shape = (len(polys), len(monomials))
+        self._coefs = np.array([coef for _, _, coef in terms], dtype=float)
+        self._x_exps = np.array([alpha[:n] for _, alpha, _ in terms],
+                                dtype=np.int64).reshape(len(terms), n)
+        self._slots = np.array(
+            [row * len(monomials) + column[alpha[n:]] for row, alpha, _ in terms],
+            dtype=np.intp)
+        # each monomial as its (coordinate, power) factors; () is the constant
+        self._factors = [tuple((j, e) for j, e in enumerate(beta) if e)
+                         for beta in monomials]
+        self._draws = np.empty((problem.m, _BLOCK))
+        self._mono = np.empty((len(monomials), _BLOCK))
+        self._values = np.empty((len(polys), _BLOCK))
+        self._nonneg = np.empty((len(polys), _BLOCK), dtype=bool)
+        self._inside = np.empty(_BLOCK, dtype=bool)
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """The (P, K) matrix of the polynomials with the decision folded in."""
+        weights = self._coefs * np.prod(x ** self._x_exps, axis=1)
+        return np.bincount(self._slots, weights=weights,
+                           minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
+
+    def membership(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Boolean array: which rows of ``draws`` lie in the union at ``x``."""
+        coef = self.coefficients(x)
+        member = np.empty(draws.shape[0], dtype=bool)
+        for start in range(0, draws.shape[0], _BLOCK):
+            block = draws[start:start + _BLOCK].T
+            width = block.shape[1]
+            q = self._draws[:, :width]
+            mono = self._mono[:, :width]
+            nonneg = self._nonneg[:, :width]
+            inside = self._inside[:width]
+            np.copyto(q, block)
+            for row, factors in zip(mono, self._factors):
+                if not factors:
+                    row.fill(1.0)
+                    continue
+                (j, e), *rest = factors
+                np.power(q[j], e, out=row)
+                for j, e in rest:
+                    row *= q[j] if e == 1 else q[j] ** e
+            values = np.matmul(coef, mono, out=self._values[:, :width])
+            np.greater_equal(values, 0.0, out=nonneg)
+            hit = member[start:start + width]
+            hit.fill(False)
+            for lo, hi in self._set_rows:
+                np.logical_and.reduce(nonneg[lo:hi], axis=0, out=inside)
+                hit |= inside
+        return member
 
 
 def estimate_probability(problem: ChanceProblem, x: Sequence[float],
@@ -65,7 +135,7 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     if x.shape != (problem.n,):
         raise DimensionError(f"decision has shape {x.shape}, expected ({problem.n},)")
     draws = sample(problem.dist, cfg.samples, cfg.seed)
-    est = float(np.mean(_union_membership(problem, x, draws)))
+    est = float(np.mean(UnionEvaluator(problem).membership(x, draws)))
     half = 3.0 * float(np.sqrt(est * (1.0 - est) / cfg.samples))
     return est, half
 
@@ -83,6 +153,7 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
             f"the {_GRID_GUARD} guard; use a coarser grid"
         )
     axes = [np.linspace(lo, hi, cfg.grid_points) for lo, hi in problem.decision_box]
+    evaluator = UnionEvaluator(problem)
 
     best_est = -1.0
     best_idx = None
@@ -93,7 +164,7 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
         # up-front allocation for huge grids
         draws = sample(problem.dist, cfg.samples,
                        np.random.SeedSequence([cfg.seed, flat]))
-        est = float(np.mean(_union_membership(problem, x, draws)))
+        est = float(np.mean(evaluator.membership(x, draws)))
         if est > best_est or (est == best_est and grevlex_key(idx) < grevlex_key(best_idx)):
             best_est, best_idx, best_x = est, idx, x
     return best_x, best_est

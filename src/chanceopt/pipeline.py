@@ -160,6 +160,16 @@ def _refine_mass(res: OrderResult, program, options: RunOptions, mode: str) -> f
     return decode(program, trace.x).mass
 
 
+def _verify(res: OrderResult, problem: ChanceProblem, x, options: RunOptions) -> None:
+    """Monte Carlo estimate at ``x``; flag an interval that is a single point."""
+    t0 = time.perf_counter()
+    res.p_mc, res.p_mc_halfwidth = estimate_probability(problem, x, options.mc)
+    if res.p_mc in (0.0, 1.0):
+        # the Wald half width is 0 here, which claims certainty no sample gives
+        res.flags.append("mc_interval_degenerate")
+    res.wall_times["verify"] = time.perf_counter() - t0
+
+
 def _solve_order(scaled: ScaledProblem, options: RunOptions, order: int,
                  refine: bool, verify: bool) -> OrderResult:
     res = OrderResult(order=order)
@@ -192,10 +202,7 @@ def _solve_order(scaled: ScaledProblem, options: RunOptions, order: int,
         res.wall_times["refine"] = time.perf_counter() - t0
 
     if verify:
-        t0 = time.perf_counter()
-        est, half = estimate_probability(scaled.original, sol.x, options.mc)
-        res.p_mc, res.p_mc_halfwidth = est, half
-        res.wall_times["verify"] = time.perf_counter() - t0
+        _verify(res, scaled.original, sol.x, options)
     return res
 
 
@@ -228,12 +235,8 @@ def run_pipeline(problem: ChanceProblem, options: RunOptions, command: str,
             order = resolve_order(problem, options)
             if command == "verify" and verify_at is not None:
                 x = np.asarray(verify_at, dtype=float)
-                res = OrderResult(order=order)
-                t0 = time.perf_counter()
-                res.x = [float(v) for v in x]
-                res.p_mc, res.p_mc_halfwidth = estimate_probability(
-                    problem, x, options.mc)
-                res.wall_times["verify"] = time.perf_counter() - t0
+                res = OrderResult(order=order, x=[float(v) for v in x])
+                _verify(res, problem, x, options)
                 report.results.append(res)
             else:
                 report.results.append(_solve_order(

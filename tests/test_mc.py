@@ -5,9 +5,10 @@ import pytest
 
 import util
 from chanceopt.errors import ResourceError
-from chanceopt.mc import McConfig, estimate_probability, grid_search
-from chanceopt.measures import DistributionSpec, Uniform
+from chanceopt.mc import McConfig, UnionEvaluator, estimate_probability, grid_search
+from chanceopt.measures import DistributionSpec, Uniform, sample
 from chanceopt.poly import Polynomial
+from chanceopt.problems import BUNDLED, load_bundled
 from chanceopt.relaxation import ChanceProblem
 
 
@@ -118,7 +119,85 @@ class TestEstimate:
         assert hits >= 45
 
 
+def one_parameter_problem(sets) -> ChanceProblem:
+    return ChanceProblem(
+        name="edge", n=1, m=1, sets=sets,
+        dist=DistributionSpec((Uniform(-1, 1),)),
+        decision_box=((-1, 1),),
+    )
+
+
+class TestUnionEvaluator:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_reference_membership(self, name):
+        prob, _ = load_bundled(name)
+        lo, hi = np.array(prob.decision_box, dtype=float).T
+        rng = np.random.default_rng(BUNDLED.index(name))
+        evaluator = UnionEvaluator(prob)
+        for k, x in enumerate([(lo + hi) / 2, lo, rng.uniform(lo, hi)]):
+            draws = sample(prob.dist, 20_000, k)
+            member = evaluator.membership(x, draws)
+            assert np.array_equal(member, util.reference_membership(prob, x, draws))
+
+    def test_mixed_powers_match_reference(self):
+        # monomials whose later factors carry powers, e.g. q0 * q1**2
+        x, q0, q1 = (Polynomial.coordinate(3, i) for i in range(3))
+        prob = ChanceProblem(
+            name="mixed", n=1, m=2,
+            sets=((x * q0 * q1**2 + q0**3 * q1**3 - 0.05, 0.5 - q1),),
+            dist=DistributionSpec((Uniform(-1, 1), Uniform(-1, 1))),
+            decision_box=((-1, 1),),
+        )
+        evaluator = UnionEvaluator(prob)
+        draws = sample(prob.dist, 20_000, 2)
+        for x_val in (-1.0, -0.3, 0.4, 1.0):
+            member = evaluator.membership(np.array([x_val]), draws)
+            assert 0.0 < member.mean() < 1.0
+            assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
+
+    def test_folded_cancellation_counts_inside(self):
+        # x*q + q at x = -1: the folded coefficient of q is exactly zero
+        x = Polynomial.coordinate(2, 0)
+        q = Polynomial.coordinate(2, 1)
+        prob = one_parameter_problem(((x * q + q,),))
+        draws = sample(prob.dist, 5_000, 0)
+        member = UnionEvaluator(prob).membership(np.array([-1.0]), draws)
+        assert member.all()
+        assert np.array_equal(member, util.reference_membership(prob, [-1.0], draws))
+
+    def test_polynomial_without_random_monomial(self):
+        x = Polynomial.coordinate(2, 0)
+        prob = one_parameter_problem(((x - 0.5,),))
+        evaluator = UnionEvaluator(prob)
+        assert evaluator.shape == (1, 1)
+        draws = sample(prob.dist, 5_000, 0)
+        assert evaluator.membership(np.array([0.5]), draws).all()
+        assert not evaluator.membership(np.array([0.25]), draws).any()
+
+    def test_union_of_q_free_and_q_dependent_sets(self):
+        x = Polynomial.coordinate(2, 0)
+        q = Polynomial.coordinate(2, 1)
+        prob = one_parameter_problem(((x - 0.5,), (q - 0.5, x + 1.0)))
+        evaluator = UnionEvaluator(prob)
+        draws = sample(prob.dist, 5_000, 1)
+        for x_val in (0.75, 0.5, 0.0, -1.0):
+            member = evaluator.membership(np.array([x_val]), draws)
+            assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
+        assert evaluator.membership(np.array([0.75]), draws).all()
+        assert np.array_equal(evaluator.membership(np.array([0.0]), draws),
+                              draws[:, 0] >= 0.5)
+
+
 class TestGridSearch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_loop(self, seed):
+        prob, _ = load_bundled("example4_control")
+        cfg = McConfig(samples=2000, grid_points=3, seed=seed)
+        x, p = grid_search(prob, cfg)
+        x_ref, p_ref = util.reference_grid_search(prob, cfg)
+        assert p == p_ref
+        assert np.array_equal(x, x_ref)
+
     def test_single_point_grid(self):
         prob = util.toy_problem()
         x, p = grid_search(prob, McConfig(samples=1000, grid_points=1, seed=0))

@@ -1,14 +1,22 @@
 """End-to-end pipeline runs, report artifacts, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import util
 from chanceopt.alcc import SolverParams
 from chanceopt.cli import main
 from chanceopt.mc import McConfig
+from chanceopt.measures import DistributionSpec, Uniform
 from chanceopt.pipeline import run_pipeline, series_csv_text
+from chanceopt.poly import Polynomial
 from chanceopt.problem_io import RunOptions, write_problem
+from chanceopt.relaxation import ChanceProblem
 
 
 def quick_options(**kw):
@@ -85,6 +93,16 @@ class TestRunPipeline:
         res = report.results[0]
         assert abs(res.p_mc - 0.25) <= 0.02
         assert res.p_sdp is None
+        assert res.flags == []
+
+    def test_degenerate_interval_flagged_after_solve(self):
+        # a single draw makes every estimate 0 or 1 with a zero half width
+        report = run_pipeline(util.toy_problem(),
+                              quick_options(mc=McConfig(samples=1, seed=0)), "verify")
+        res = report.results[0]
+        assert res.p_mc in (0.0, 1.0) and res.p_mc_halfwidth == 0.0
+        assert res.flags == ["mc_interval_degenerate"]
+        assert report.status == "complete_with_flags"
 
     def test_upper_estimate_dominates_monte_carlo(self):
         report = run_pipeline(util.toy_problem(), quick_options(), "verify")
@@ -174,6 +192,36 @@ class TestCli:
                      "--samples", "40000", "--out-dir", str(tmp_path)])
         assert code == 0
         assert "p_mc=0.25" in capsys.readouterr().out
+
+    def test_verify_at_degenerate_interval_flagged(self, tmp_path, capsys):
+        empty = ChanceProblem(
+            name="empty", n=1, m=1, sets=((Polynomial.constant(2, -1.0),),),
+            dist=DistributionSpec((Uniform(-1.0, 1.0),)),
+            decision_box=((-1.0, 1.0),),
+        )
+        path = tmp_path / "empty.json"
+        write_problem(empty, path, RunOptions(order=1))
+        code = main(["verify", str(path), "--at", "0.0", "--samples", "1000",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        report = out.strip().splitlines()[-1].removeprefix("report: ")
+        doc = json.loads(Path(report).read_text())
+        res = doc["results"][0]
+        assert res["p_mc"] == 0.0 and res["p_mc_halfwidth"] == 0.0
+        assert res["flags"] == ["mc_interval_degenerate"]
+        assert doc["status"] == "complete_with_flags"
+
+    def test_python_dash_m_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "chanceopt", "bundled"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "example4_control" in proc.stdout.split()
 
     def test_sweep_writes_series(self, toy_file, tmp_path):
         code = main(["sweep", str(toy_file), "--dmin", "2", "--dmax", "2",

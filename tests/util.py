@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
+from itertools import product
+
 import numpy as np
 import scipy.sparse as sp
 
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, triu_info
-from chanceopt.measures import DistributionSpec, Uniform, joint_moment
+from chanceopt.measures import DistributionSpec, Uniform, joint_moment, sample
 from chanceopt.moments import MomentVector
-from chanceopt.poly import Polynomial, exponents
+from chanceopt.poly import Polynomial, exponents, grevlex_key
 from chanceopt.relaxation import ChanceProblem
 
 
@@ -111,6 +113,45 @@ def dirac_law_point(program, x) -> np.ndarray:
     vec[info.set_slices[0]] = joint
     vec[info.yx_slice] = MomentVector.from_dirac(x_scaled, order).values
     return vec
+
+
+def reference_membership(problem: ChanceProblem, x, draws) -> np.ndarray:
+    """Union membership by evaluating every polynomial term by term.
+
+    Independent of the compiled evaluator in ``chanceopt.mc``: each
+    polynomial is evaluated with ``Polynomial.eval_many`` on the joint
+    points (decision columns first), only on draws not yet counted.
+    """
+    points = np.empty((draws.shape[0], problem.n + problem.m))
+    points[:, : problem.n] = x
+    points[:, problem.n:] = draws
+    member = np.zeros(draws.shape[0], dtype=bool)
+    for s in problem.sets:
+        inside = ~member          # only points not yet counted need checking
+        for p in s:
+            if not inside.any():
+                break
+            inside[inside] = p.eval_many(points[inside]) >= 0.0
+        member |= inside
+    return member
+
+
+def reference_grid_search(problem: ChanceProblem, cfg) -> tuple:
+    """Grid baseline as a plain loop over :func:`reference_membership`.
+
+    Same grid, per-point seeds and grevlex tie-break as
+    ``chanceopt.mc.grid_search``.
+    """
+    axes = [np.linspace(lo, hi, cfg.grid_points) for lo, hi in problem.decision_box]
+    best = None
+    for flat, idx in enumerate(product(range(cfg.grid_points), repeat=problem.n)):
+        x = np.array([axes[i][idx[i]] for i in range(problem.n)])
+        draws = sample(problem.dist, cfg.samples, np.random.SeedSequence([cfg.seed, flat]))
+        est = float(np.mean(reference_membership(problem, x, draws)))
+        if best is None or est > best[0] or (
+                est == best[0] and grevlex_key(idx) < grevlex_key(best[1])):
+            best = (est, idx, x)
+    return best[2], best[0]
 
 
 def planted_program(rng, num_scalars=None, block_dims=None):
