@@ -11,7 +11,6 @@ from .alcc import (
     apg_inner,
     aug_lagrangian_grad,
     operator_norm,
-    psd_project,
 )
 from .conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
 from .errors import (
@@ -39,15 +38,10 @@ from .moments import (
     CHEBYSHEV,
     MONOMIAL,
     MomentVector,
-    SymMatrix,
     basis_values,
     chebyshev_transform,
-    localizing_matrix,
-    moment_matrix,
-    ortho_localizing_matrix,
-    ortho_moment_matrix,
-    repad,
     riesz,
+    terms_matrix,
 )
 from .poly import (
     Polynomial,
@@ -55,9 +49,6 @@ from .poly import (
     grevlex_compare,
     monomial_rank,
     monomial_unrank,
-    poly_compose,
-    poly_eval,
-    poly_mul,
 )
 from .pipeline import RunReport, run_pipeline
 from .problem_io import RunOptions, emit_document, parse, write_problem

@@ -13,6 +13,10 @@ a step-size test certifying a small subgradient, or the iteration budget
 l_max = k^(1+c) beta^k B sqrt(2 nu_0 L / alpha_0) capped by a configured
 bound.  The PSD cone is self-dual, so one eigendecomposition per block
 serves both the primal distance and the dual projection.
+
+The gradient of the smooth part lives in one place,
+``aug_lagrangian_grad``, which the inner loop calls; the PSD projection
+is ``ConicProgram.project_dual``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 
 from .conic import ConicProgram
 from .errors import NumericalError
-from .moments import SymMatrix
 
 
 @dataclass(frozen=True)
@@ -110,27 +113,6 @@ class SolverTrace:
         return path
 
 
-def _psd_project_array(mat: np.ndarray) -> np.ndarray:
-    try:
-        vals, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed on a {mat.shape[0]}x{mat.shape[0]} block "
-            f"(fro norm {np.linalg.norm(mat):.3e}, finite={np.all(np.isfinite(mat))})"
-        ) from exc
-    pos = vals > 0.0
-    if not np.any(pos):
-        return np.zeros_like(mat)
-    v = vecs[:, pos]
-    return (v * vals[pos]) @ v.T
-
-
-def psd_project(matrix) -> SymMatrix:
-    """Euclidean projection onto the PSD cone (eigenvalue clipping)."""
-    arr = matrix.values if isinstance(matrix, SymMatrix) else np.asarray(matrix, float)
-    return SymMatrix(_psd_project_array((arr + arr.T) / 2.0))
-
-
 class OperatorNorm(NamedTuple):
     sigma: float
     converged: bool
@@ -161,21 +143,16 @@ def operator_norm(program: ConicProgram, tol: float = 1e-4, max_iter: int = 2000
     return OperatorNorm(sigma, False, max_iter)
 
 
-def aug_lagrangian_grad(program: ConicProgram, x: np.ndarray, nu: float,
-                        theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of the smooth augmented Lagrangian part.
+def aug_lagrangian_grad(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
+                        theta_b: np.ndarray) -> np.ndarray:
+    """Gradient of the smooth augmented Lagrangian part at ``x``.
 
-    Uses the cone identity z - proj(z) = -proj(-z): a single projection of
-    theta + b - A(x) per block yields both the penalty distance and the
-    gradient  c/nu - A*(proj(theta + b - A(x))).
+    ``c_over_nu`` is c/nu and ``theta_b`` is theta + b.  By the cone
+    identity z - proj(z) = -proj(-z), one projection of theta + b - A(x)
+    gives the gradient  c/nu - A*(proj(theta + b - A(x))).
     """
-    c = program.objective
-    w = program.apply(x)
-    s = theta + program.constants - w          # equals -(A(x) - b - theta)
-    proj = program.project_dual(s)
-    value = float(c @ x) / nu + 0.5 * float(proj @ proj)
-    grad = c / nu - program.adjoint(proj)
-    return value, grad
+    s = theta_b - program.operator @ x          # equals -(A(x) - b - theta)
+    return c_over_nu - program.adjoint(program.project_dual(s))
 
 
 def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
@@ -189,7 +166,6 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     """
     c_over_nu = program.objective / nu
     theta_b = theta + program.constants
-    A = program.operator
     project = program.simple_set.project
     threshold = eta_over_nu / (2.0 * L)
 
@@ -199,8 +175,7 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     ell = 0
     while True:
         ell += 1
-        s = theta_b - A @ x2
-        grad = c_over_nu - program.adjoint(program.project_dual(s))
+        grad = aug_lagrangian_grad(program, x2, c_over_nu, theta_b)
         x1 = project(x2 - grad / L)
         if np.linalg.norm(x1 - x2) <= threshold:
             return x1, ell, "step_small"

@@ -42,30 +42,6 @@ def _check_basis(basis: str):
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
 
 
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is enforced at construction."""
-
-    __slots__ = ("dim", "values")
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DimensionError(f"expected a square array, got shape {values.shape}")
-        self.dim = values.shape[0]
-        sym = (values + values.T) / 2.0
-        sym.setflags(write=False)
-        self.values = sym
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[0])
-
-    def save_csv(self, path):
-        np.savetxt(path, self.values, delimiter=",")
-
-    def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
-
-
 @dataclass(frozen=True)
 class MomentVector:
     """Truncated moment sequence up to total degree ``order``, grevlex-indexed."""
@@ -164,47 +140,6 @@ def moment_pair_ranks(n: int, d: int) -> np.ndarray:
     ranks = lookup_ranks(pair.ravel(), n, maxdeg).reshape(pair.shape)
     ranks.setflags(write=False)
     return ranks
-
-
-def moment_matrix(y: MomentVector, d: int) -> SymMatrix:
-    """Moment matrix of order ``d``: entry (i,j) is y at alpha_i + alpha_j."""
-    if 2 * d > y.order:
-        raise OrderError(f"moment matrix of order {d} needs moments up to {2 * d}, "
-                         f"vector stores {y.order}")
-    return SymMatrix(y.values[moment_pair_ranks(y.num_vars, d)])
-
-
-def localizing_matrix(y: MomentVector, p: Polynomial, d: int) -> SymMatrix:
-    """Localizing matrix: entry (i,j) is sum_g p_g * y[g + alpha_i + alpha_j]."""
-    if p.num_vars != y.num_vars:
-        raise DimensionError("polynomial and moment vector dimensions differ")
-    maxdeg = 2 * d + p.degree
-    if maxdeg > y.order:
-        raise OrderError(f"localizing matrix of order {d} for a degree-{p.degree} "
-                         f"polynomial needs moments up to {maxdeg}, vector stores {y.order}")
-    n = y.num_vars
-    exps = exponent_array(n, d)
-    base = maxdeg + 1
-    codes = encode_exponents(exps, base)
-    pair = codes[:, None] + codes[None, :]
-    out = np.zeros(pair.shape)
-    for gamma, coef in p.terms.items():
-        g = int(encode_exponents(np.array([gamma], dtype=np.int64), base)[0])
-        ranks = lookup_ranks((pair + g).ravel(), n, maxdeg).reshape(pair.shape)
-        out += coef * y.values[ranks]
-    return SymMatrix(out)
-
-
-def repad(y: MomentVector, new_order: int) -> MomentVector:
-    """Truncate or zero-pad a moment vector to a new order."""
-    if new_order == y.order:
-        return y
-    new_len = basis_size(y.num_vars, new_order)
-    if new_order < y.order:
-        return MomentVector(y.num_vars, new_order, y.values[:new_len])
-    vals = np.zeros(new_len)
-    vals[: len(y.values)] = y.values
-    return MomentVector(y.num_vars, new_order, vals)
 
 
 # -- Chebyshev tables ---------------------------------------------------------
@@ -321,48 +256,13 @@ def poly_cheb_coeffs(p: Polynomial) -> dict[Exponent, float]:
     return {b: c for b, c in out.items() if c != 0.0}
 
 
-def ortho_moment_matrix(y: MomentVector, d: int) -> SymMatrix:
-    """Moment matrix in the Chebyshev basis; ``y`` holds Chebyshev moments."""
-    if 2 * d > y.order:
-        raise OrderError(f"order-{d} matrix needs moments up to {2 * d}, got {y.order}")
-    exps = exponents(y.num_vars, d)
-    size = len(exps)
-    M = np.zeros((size, size))
-    for i in range(size):
-        for j in range(i, size):
-            val = 0.0
-            for gamma, w in cheb_product_expansion(exps[i], exps[j]):
-                val += w * y.values[monomial_rank(gamma)]
-            M[i, j] = M[j, i] = val
-    return SymMatrix(M)
-
-
-def ortho_localizing_matrix(y: MomentVector, p: Polynomial, d: int) -> SymMatrix:
-    """Localizing matrix in the Chebyshev basis for a monomial-coefficient ``p``."""
-    if p.num_vars != y.num_vars:
-        raise DimensionError("polynomial and moment vector dimensions differ")
-    if 2 * d + p.degree > y.order:
-        raise OrderError(f"order-{d} localizer of a degree-{p.degree} polynomial "
-                         f"needs moments up to {2 * d + p.degree}, got {y.order}")
-    exps = exponents(y.num_vars, d)
-    size = len(exps)
-    M = np.zeros((size, size))
-    for i in range(size):
-        bi = cheb_basis_poly(exps[i])
-        for j in range(i, size):
-            prod = p * bi * cheb_basis_poly(exps[j])
-            val = 0.0
-            for gamma, coef in poly_cheb_coeffs(prod).items():
-                val += coef * y.values[monomial_rank(gamma)]
-            M[i, j] = M[j, i] = val
-    return SymMatrix(M)
-
-
-# -- Entry structures consumed by the SDP builder -----------------------------
+# -- Moment and localizing matrices as term structures ------------------------
 #
 # Each helper returns parallel arrays (rows, cols, ranks, coefs) describing,
 # for entries (rows[t], cols[t]) with rows <= cols of the matrix, a term
 # coefs[t] * y[ranks[t]].  Repeated (row, col, rank) triples accumulate.
+# The SDP builder turns them into block coefficients; ``terms_matrix``
+# evaluates them at a moment vector.
 
 
 def moment_block_terms(n: int, d: int, basis: str = MONOMIAL):
@@ -417,6 +317,20 @@ def localizing_block_terms(p: Polynomial, d: int, basis: str = MONOMIAL):
                 coefs.append(coef)
     return (np.array(rows), np.array(cols), np.array(ranks, dtype=np.int64),
             np.array(coefs))
+
+
+def terms_matrix(terms, y: np.ndarray, size: int) -> np.ndarray:
+    """Dense symmetric (size, size) matrix of a term structure at moments ``y``.
+
+    Entry (rows[t], cols[t]) and its mirror receive coefs[t] * y[ranks[t]].
+    """
+    rows, cols, ranks, coefs = terms
+    out = np.zeros((size, size))
+    vals = coefs * y[ranks]
+    np.add.at(out, (rows, cols), vals)
+    off_diag = rows != cols
+    np.add.at(out, (cols[off_diag], rows[off_diag]), vals[off_diag])
+    return out
 
 
 def trace_functional(n: int, d: int, basis: str = MONOMIAL) -> dict[int, float]:

@@ -132,10 +132,10 @@ class RunReport:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if stem is None:
-            if len(self.results) == 1:
-                stem = f"{self.name}_d{self.results[0].order}"
-            else:
-                stem = self.name
+            # a sweep's stem never names an order, however many finished
+            stem = self.name
+            if self.command != "sweep" and self.results:
+                stem += f"_d{self.results[0].order}"
         path = out_dir / f"{stem}_report.json"
         path.write_text(json.dumps(self.as_dict(), indent=2) + "\n", encoding="utf-8")
         return path

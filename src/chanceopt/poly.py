@@ -342,20 +342,6 @@ class Polynomial:
         return out
 
 
-# Spec-level operation aliases: free functions mirroring the module contract.
-
-def poly_eval(p: Polynomial, point: Sequence[float]) -> float:
-    return p(point)
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_compose(p: Polynomial, substitutions: Sequence[Polynomial]) -> Polynomial:
-    return p.compose(substitutions)
-
-
 def affine_substitutions(offsets: Iterable[float], halves: Iterable[float]) -> list[Polynomial]:
     """Substitution list mapping variable i to offsets[i] + halves[i] * z_i."""
     offsets = list(offsets)

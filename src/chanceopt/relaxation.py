@@ -42,6 +42,7 @@ from .moments import (
     moment_block_terms,
     monomial_rank,
     poly_cheb_coeffs,
+    terms_matrix,
     trace_functional,
 )
 from .poly import Polynomial, affine_substitutions, basis_size
@@ -420,7 +421,8 @@ def build_refinement_sdp(problem, x_scaled: Sequence[float], order: int,
     set_slices = [slice(k * s_q, (k + 1) * s_q) for k in range(num_sets)]
 
     blocks = []
-    mom_rows, mom_cols, mom_ranks, mom_coefs = moment_block_terms(m, order, basis)
+    mom_terms = moment_block_terms(m, order, basis)
+    mom_rows, mom_cols, mom_ranks, mom_coefs = mom_terms
     dim_q = basis_size(m, order)
     for k in range(num_sets):
         off = k * s_q
@@ -440,11 +442,7 @@ def build_refinement_sdp(problem, x_scaled: Sequence[float], order: int,
 
     # dominance against the known random-parameter moments
     y_q = moment_vector(prob.dist, 2 * order, basis)
-    dom_const = np.zeros((dim_q, dim_q))
-    vals = mom_coefs * y_q.values[mom_ranks]
-    np.add.at(dom_const, (mom_rows, mom_cols), vals)
-    off_diag = mom_rows != mom_cols
-    np.add.at(dom_const, (mom_cols[off_diag], mom_rows[off_diag]), vals[off_diag])
+    dom_const = terms_matrix(mom_terms, y_q.values, dim_q)
     groups = [(mom_rows, mom_cols, k * s_q + mom_ranks, -mom_coefs)
               for k in range(num_sets)]
     blocks.append(_block_from_terms(dim_q, "dominance", num_scalars, groups,

@@ -11,10 +11,9 @@ from chanceopt.alcc import (
     apg_inner,
     aug_lagrangian_grad,
     operator_norm,
-    psd_project,
 )
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
-from chanceopt.moments import SymMatrix
+from util import project_psd
 
 
 def random_sym(rng, dim, scale=1.0):
@@ -41,26 +40,23 @@ def scalar_block_program(coeffs, consts, c, lower=-1.0, upper=1.0, pins=()):
 
 
 class TestPsdProject:
+    """Properties of ``ConicProgram.project_dual`` on a one-block program."""
+
     def test_fixed_point_on_psd(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5))
         mat = a @ a.T
-        out = psd_project(mat)
-        assert np.max(np.abs(out.values - mat)) < 1e-12
+        out = project_psd(mat)
+        assert np.max(np.abs(out - mat)) < 1e-12
 
     def test_diagonal_clipping(self):
-        out = psd_project(np.diag([-1.0, 2.0]))
-        assert np.allclose(out.values, np.diag([0.0, 2.0]))
-
-    def test_accepts_symmetrix(self):
-        out = psd_project(SymMatrix(np.diag([-3.0, 1.0])))
-        assert isinstance(out, SymMatrix)
-        assert np.allclose(out.values, np.diag([0.0, 1.0]))
+        out = project_psd(np.diag([-1.0, 2.0]))
+        assert np.allclose(out, np.diag([0.0, 2.0]))
 
     def test_frobenius_optimality_against_sampling(self):
         rng = np.random.default_rng(1)
         target = random_sym(rng, 8, 2.0)
-        proj = psd_project(target).values
+        proj = project_psd(target)
         best = np.linalg.norm(target - proj)
         for _ in range(10_000):
             q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
@@ -70,23 +66,23 @@ class TestPsdProject:
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         mat = random_sym(rng, 6)
-        once = psd_project(mat).values
-        twice = psd_project(once).values
+        once = project_psd(mat)
+        twice = project_psd(once)
         assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = random_sym(rng, 5), random_sym(rng, 5)
-            pa, pb = psd_project(a).values, psd_project(b).values
+            pa, pb = project_psd(a), project_psd(b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_moreau_decomposition(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             s = random_sym(rng, 6)
-            plus = psd_project(s).values
-            minus = psd_project(-s).values
+            plus = project_psd(s)
+            minus = project_psd(-s)
             assert np.max(np.abs(s - (plus - minus))) < 1e-8
             assert abs(float(np.sum(plus * minus))) < 1e-8
 
@@ -126,23 +122,36 @@ class TestOperatorNorm:
             assert sigma == pytest.approx(expect, rel=1e-3)
 
 
+def lagrangian_value(prog, x, nu, theta):
+    """c.x/nu + dist(A(x) - b - theta, PSD)^2 / 2, by the dense projection oracle."""
+    s = theta + prog.constants - prog.apply(x)
+    dist2 = sum(np.sum(util.reference_psd_project(unsvec(s[sl], blk.dim)) ** 2)
+                for blk, sl in zip(prog.blocks, prog.block_slices))
+    return float(prog.objective @ x) / nu + 0.5 * dist2
+
+
 class TestAugLagrangian:
+    """The gradient ``apg_inner`` steps along, against its value function."""
+
+    @staticmethod
+    def grad(prog, x, nu, theta):
+        return aug_lagrangian_grad(prog, x, prog.objective / nu, theta + prog.constants)
+
     def test_deep_interior_gradient_is_scaled_objective(self):
         # identity block plus a constant matrix far inside the cone
         prog = scalar_block_program(np.eye(3), [-10.0] * 3, [1.0, -2.0, 0.5])
         x = np.zeros(3)
         theta = np.zeros(3)
-        value, grad = aug_lagrangian_grad(prog, x, 2.0, theta)
-        assert value == pytest.approx(0.0)
-        assert np.allclose(grad, prog.objective / 2.0)
+        assert lagrangian_value(prog, x, 2.0, theta) == pytest.approx(0.0)
+        assert np.allclose(self.grad(prog, x, 2.0, theta), prog.objective / 2.0)
 
     def test_scalar_hand_computation(self):
         # block x - 1 >= 0 at x = 0: distance 1, value = c.x/nu + 1/2
         prog = scalar_block_program([[1.0]], [1.0], [0.7])
-        value, grad = aug_lagrangian_grad(prog, np.zeros(1), 1.5, np.zeros(1))
-        assert value == pytest.approx(0.5)
+        x, theta = np.zeros(1), np.zeros(1)
+        assert lagrangian_value(prog, x, 1.5, theta) == pytest.approx(0.5)
         # penalty part of gradient: A*(z - proj z) with z = -1 -> -1
-        assert grad[0] == pytest.approx(0.7 / 1.5 - 1.0)
+        assert self.grad(prog, x, 1.5, theta)[0] == pytest.approx(0.7 / 1.5 - 1.0)
 
     def test_finite_difference_gradient(self):
         rng = np.random.default_rng(8)
@@ -150,13 +159,13 @@ class TestAugLagrangian:
         x = x_star + rng.uniform(-0.2, 0.2, 12)
         theta = rng.uniform(0, 0.5, prog.operator.shape[0])
         nu = 1.7
-        value, grad = aug_lagrangian_grad(prog, x, nu, theta)
+        grad = self.grad(prog, x, nu, theta)
         eps = 1e-6
         for _ in range(20):
             v = rng.standard_normal(12)
             v /= np.linalg.norm(v)
-            up, _ = aug_lagrangian_grad(prog, x + eps * v, nu, theta)
-            dn, _ = aug_lagrangian_grad(prog, x - eps * v, nu, theta)
+            up = lagrangian_value(prog, x + eps * v, nu, theta)
+            dn = lagrangian_value(prog, x - eps * v, nu, theta)
             fd = (up - dn) / (2 * eps)
             assert abs(fd - float(grad @ v)) < 1e-5
 
@@ -273,6 +282,6 @@ class TestAlccSolve:
             rel_obj = abs(trace.final_objective - opt) / (1.0 + abs(opt))
             assert rel_obj <= 1e-3, f"trial {trial}: objective error {rel_obj}"
             assert trace.final_residual <= 1e-4, f"trial {trial}"
-            scaled_dual = trace.records[-1].nu * trace.theta
+            scaled_dual = params.beta * trace.records[-1].nu * trace.theta
             comp = abs(float(scaled_dual @ (prog.apply(trace.x) - prog.constants)))
             assert comp <= 1e-3 * (1.0 + abs(opt)), f"trial {trial}: comp {comp}"

@@ -6,8 +6,7 @@ import scipy.sparse as sp
 
 import util
 from chanceopt import problems
-from chanceopt.alcc import psd_project
-from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
+from chanceopt.conic import PsdBlock, SimpleSet, svec, unsvec
 from chanceopt.errors import NumericalError
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, scale_problem
 
@@ -58,29 +57,17 @@ class TestBlocks:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _negative_scalar_block_program():
-    """Hand-built program with 1x1 blocks around larger ones."""
-    dims = [1, 3, 1, 2, 3]
-    blocks = [PsdBlock(dim=d, label=f"b{i}",
-                       coeffs=sp.csr_matrix((d * (d + 1) // 2, 2)),
-                       constant=np.zeros((d, d)))
-              for i, d in enumerate(dims)]
-    box = SimpleSet(lower=np.full(2, -1.0), upper=np.full(2, 1.0),
-                    pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
-    return ConicProgram(objective=np.zeros(2), blocks=blocks, simple_set=box)
-
-
 def _projection_programs():
     union, _ = problems.CONSTRUCTORS["example2_union"]()
     return {
         "toy_d2": build_chance_sdp(util.toy_problem(), 2),
         "union_d2": build_chance_sdp(scale_problem(union), 2),
-        "scalar_blocks": _negative_scalar_block_program(),
+        "scalar_blocks": util.block_program(1, 3, 1, 2, 3),
     }
 
 
 class TestProjectDual:
-    """The batched projection against a per-block oracle on each block's slice."""
+    """The batched projection against the dense oracle on each block's slice."""
 
     @pytest.fixture(scope="class")
     def programs(self):
@@ -101,7 +88,7 @@ class TestProjectDual:
             s[prog.block_slices[2]] = 0.4
         got = prog.project_dual(s)
         for blk, sl in zip(prog.blocks, prog.block_slices):
-            want = svec(psd_project(unsvec(s[sl], blk.dim)).values)
+            want = svec(util.reference_psd_project(unsvec(s[sl], blk.dim)))
             assert np.max(np.abs(got[sl] - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
         if name == "scalar_blocks":
             assert got[prog.block_slices[0]][0] == 0.0

@@ -1,4 +1,8 @@
-"""Moment vectors, Riesz functional, moment/localizing matrices, Chebyshev basis."""
+"""Moment vectors, Riesz functional, moment/localizing matrices, Chebyshev basis.
+
+Dense matrices come from the SDP builder's block terms evaluated at a
+moment vector (``util.moment_matrix`` / ``util.localizing_matrix``).
+"""
 
 import numpy as np
 import pytest
@@ -6,22 +10,17 @@ import pytest
 from chanceopt.errors import OrderError
 from chanceopt.moments import (
     MomentVector,
-    SymMatrix,
     basis_values,
     cheb_basis_poly,
     cheb_mono_coeffs,
     chebyshev_transform,
-    localizing_matrix,
-    moment_matrix,
     mono_cheb_coeffs,
-    ortho_localizing_matrix,
-    ortho_moment_matrix,
     poly_cheb_coeffs,
-    repad,
     riesz,
     trace_functional,
 )
 from chanceopt.poly import Polynomial, basis_size
+from util import localizing_matrix, moment_matrix, reference_measure_matrix
 
 
 def uniform_1d_moments(order):
@@ -63,32 +62,26 @@ class TestMomentMatrix:
         rng = np.random.default_rng(2)
         y = random_vec(rng, 2, 2)
         M = moment_matrix(y, 0)
-        assert M.dim == 1 and M.values[0, 0] == pytest.approx(y.values[0])
+        assert M.shape == (1, 1) and M[0, 0] == pytest.approx(y.values[0])
 
     def test_layout_matches_displayed_6x6(self):
         # rows/cols ordered 1, x1, x2, x1^2, x1 x2, x2^2
         rng = np.random.default_rng(3)
         y = random_vec(rng, 2, 4)
         M = moment_matrix(y, 2)
-        assert M.values[1, 2] == pytest.approx(y[(1, 1)])
-        assert M.values[5, 5] == pytest.approx(y[(0, 4)])
-        assert M.values[3, 4] == pytest.approx(y[(3, 1)])
-        assert M.values[0, 3] == pytest.approx(y[(2, 0)])
+        assert M[1, 2] == pytest.approx(y[(1, 1)])
+        assert M[5, 5] == pytest.approx(y[(0, 4)])
+        assert M[3, 4] == pytest.approx(y[(3, 1)])
+        assert M[0, 3] == pytest.approx(y[(2, 0)])
 
     def test_dirac_rank_one(self):
         z = np.array([0.3, -0.7])
         y = MomentVector.from_dirac(z, 4)
         M = moment_matrix(y, 2)
         v = basis_values(z, 2)
-        assert np.allclose(M.values, np.outer(v, v), atol=1e-12)
-        assert np.linalg.matrix_rank(M.values, tol=1e-10) == 1
-        assert M.min_eigenvalue() >= -1e-12
-
-    def test_order_guard(self):
-        rng = np.random.default_rng(4)
-        y = random_vec(rng, 2, 2)
-        with pytest.raises(OrderError):
-            moment_matrix(y, 2)
+        assert np.allclose(M, np.outer(v, v), atol=1e-12)
+        assert np.linalg.matrix_rank(M, tol=1e-10) == 1
+        assert np.linalg.eigvalsh(M)[0] >= -1e-12
 
     def test_convex_combination_of_diracs(self):
         rng = np.random.default_rng(5)
@@ -98,16 +91,25 @@ class TestMomentMatrix:
         y2 = MomentVector.from_dirac(z2, 4)
         mix = MomentVector(3, 4, lam * y1.values + (1 - lam) * y2.values)
         M = moment_matrix(mix, 2)
-        expect = lam * moment_matrix(y1, 2).values + (1 - lam) * moment_matrix(y2, 2).values
-        assert np.allclose(M.values, expect, atol=1e-12)
+        expect = lam * moment_matrix(y1, 2) + (1 - lam) * moment_matrix(y2, 2)
+        assert np.allclose(M, expect, atol=1e-12)
 
+
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize("n,d", [(1, 3), (2, 2), (3, 2)])
+    def test_matches_discrete_measure_oracle(self, n, d, basis):
+        rng = np.random.default_rng(17)
+        pts, w = rng.uniform(-1, 1, (5, n)), rng.uniform(0.1, 1.0, 5)
+        y = MomentVector.from_samples(pts, w, 2 * d, basis)
+        want = reference_measure_matrix(pts, w, d, basis)
+        assert np.max(np.abs(moment_matrix(y, d, basis) - want)) <= 1e-12
 
 class TestLocalizingMatrix:
     def test_unit_polynomial_reduces_to_moment_matrix(self):
         rng = np.random.default_rng(6)
         y = random_vec(rng, 2, 4)
         L = localizing_matrix(y, Polynomial.constant(2, 1.0), 2)
-        assert np.allclose(L.values, moment_matrix(y, 2).values)
+        assert np.allclose(L, moment_matrix(y, 2))
 
     def test_displayed_3x3(self):
         # p = a - b x1 - c x2^2: the top-left entry is a y00 - b y10 - c y02
@@ -126,7 +128,7 @@ class TestLocalizingMatrix:
             [entry(1, 0), entry(2, 0), entry(1, 1)],
             [entry(0, 1), entry(1, 1), entry(0, 2)],
         ])
-        assert np.allclose(L.values, expect, atol=1e-12)
+        assert np.allclose(L, expect, atol=1e-12)
 
     def test_dirac_outer_product(self):
         rng = np.random.default_rng(8)
@@ -135,7 +137,7 @@ class TestLocalizingMatrix:
         y = MomentVector.from_dirac(z, 6)
         L = localizing_matrix(y, p, 2)
         v = basis_values(z, 2)
-        assert np.allclose(L.values, p(z) * np.outer(v, v), atol=1e-12)
+        assert np.allclose(L, p(z) * np.outer(v, v), atol=1e-12)
 
     def test_linear_in_polynomial_and_moments(self):
         rng = np.random.default_rng(9)
@@ -143,38 +145,29 @@ class TestLocalizingMatrix:
         p1 = Polynomial(2, {(1, 0): 1.0, (0, 2): -0.5})
         p2 = Polynomial(2, {(0, 0): 2.0, (1, 1): 1.5})
         a, b = 0.7, -1.2
-        combo_p = localizing_matrix(y1, a * p1 + b * p2, 1).values
-        parts_p = a * localizing_matrix(y1, p1, 1).values + b * localizing_matrix(y1, p2, 1).values
+        combo_p = localizing_matrix(y1, a * p1 + b * p2, 1)
+        parts_p = a * localizing_matrix(y1, p1, 1) + b * localizing_matrix(y1, p2, 1)
         assert np.allclose(combo_p, parts_p, atol=1e-12)
         mix = MomentVector(2, 4, a * y1.values + b * y2.values)
-        combo_y = localizing_matrix(mix, p1, 1).values
-        parts_y = a * localizing_matrix(y1, p1, 1).values + b * localizing_matrix(y2, p1, 1).values
+        combo_y = localizing_matrix(mix, p1, 1)
+        parts_y = a * localizing_matrix(y1, p1, 1) + b * localizing_matrix(y2, p1, 1)
         assert np.allclose(combo_y, parts_y, atol=1e-12)
 
 
-class TestRepad:
-    def test_identity(self):
-        y = uniform_1d_moments(4)
-        assert repad(y, 4) is y
-
-    def test_pad_appends_zeros_not_true_moments(self):
-        y = uniform_1d_moments(4)
-        padded = repad(y, 6)
-        assert np.allclose(padded.values, [1, 0, 1 / 3, 0, 1 / 5, 0, 0])
-
-    def test_truncate_prefix(self):
-        y = uniform_1d_moments(4)
-        assert np.allclose(repad(y, 2).values, [1, 0, 1 / 3])
-
-    def test_round_trip_truncation(self):
-        rng = np.random.default_rng(10)
-        y = random_vec(rng, 2, 3)
-        assert np.allclose(repad(repad(y, 6), 2).values, repad(y, 2).values)
-
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 1), (3, 1)])
+    def test_matches_discrete_measure_oracle(self, n, d, basis):
+        rng = np.random.default_rng(18)
+        x0, xl = Polynomial.coordinate(n, 0), Polynomial.coordinate(n, n - 1)
+        p = 0.5 - x0**2 + 0.3 * xl + 0.2 * x0 * xl
+        pts, w = rng.uniform(-1, 1, (5, n)), rng.uniform(0.1, 1.0, 5)
+        y = MomentVector.from_samples(pts, w, 2 * d + p.degree, basis)
+        want = reference_measure_matrix(pts, w, d, basis, p)
+        assert np.max(np.abs(localizing_matrix(y, p, d, basis) - want)) <= 1e-12
 
 class TestPsdProperties:
     def assert_measure_psd(self, y, d):
-        assert moment_matrix(y, d).min_eigenvalue() >= -1e-8
+        assert np.linalg.eigvalsh(moment_matrix(y, d))[0] >= -1e-8
 
     def test_uniform_and_beta_product_measures(self):
         # moments computed by per-coordinate closed forms: genuine measures
@@ -202,19 +195,6 @@ class TestPsdProperties:
                     for i in range(3)),
             )
             assert np.max(np.abs(y.values)) <= bound + 1e-8
-
-
-class TestSymMatrix:
-    def test_symmetrized(self):
-        M = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        assert np.allclose(M.values, M.values.T)
-
-    def test_csv_export(self, tmp_path):
-        M = SymMatrix(np.eye(3))
-        path = tmp_path / "m.csv"
-        M.save_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.allclose(back, np.eye(3))
 
 
 class TestChebyshev:
@@ -251,16 +231,16 @@ class TestChebyshev:
     def test_ortho_moment_matrix_order_zero(self):
         rng = np.random.default_rng(11)
         y = random_vec(rng, 2, 2)
-        M = ortho_moment_matrix(y, 0)
-        assert M.dim == 1 and M.values[0, 0] == pytest.approx(y.values[0])
+        M = moment_matrix(y, 0, "chebyshev")
+        assert M.shape == (1, 1) and M[0, 0] == pytest.approx(y.values[0])
 
     def test_ortho_entry_halves(self):
         # diagonal entry for the x1 slot is (y00 + y20) / 2
         rng = np.random.default_rng(12)
         y = random_vec(rng, 2, 4)
-        M = ortho_moment_matrix(y, 2)
-        assert M.values[1, 1] == pytest.approx((y[(0, 0)] + y[(2, 0)]) / 2)
-        assert M.values[4, 4] == pytest.approx(
+        M = moment_matrix(y, 2, "chebyshev")
+        assert M[1, 1] == pytest.approx((y[(0, 0)] + y[(2, 0)]) / 2)
+        assert M[4, 4] == pytest.approx(
             (y[(0, 0)] + y[(2, 0)] + y[(0, 2)] + y[(2, 2)]) / 4
         )
 
@@ -270,11 +250,11 @@ class TestChebyshev:
         rng = np.random.default_rng(13)
         for n, d in ((1, 3), (2, 2)):
             y = random_vec(rng, n, 2 * d)
-            direct = ortho_moment_matrix(y, d).values
+            direct = moment_matrix(y, d, "chebyshev")
             T2d = chebyshev_transform(n, 2 * d)
             pulled = np.linalg.solve(T2d, y.values)
             Td = chebyshev_transform(n, d)
-            alt = Td @ moment_matrix(MomentVector(n, 2 * d, pulled), d).values @ Td.T
+            alt = Td @ moment_matrix(MomentVector(n, 2 * d, pulled), d) @ Td.T
             assert np.max(np.abs(direct - alt)) < 1e-10
 
     def test_ortho_localizing_matches_congruence_path(self):
@@ -283,11 +263,11 @@ class TestChebyshev:
         p = Polynomial(2, {(0, 0): 0.8, (1, 0): -0.5, (0, 2): -1.1})
         order = 2 * d + p.degree
         y = random_vec(rng, n, order)
-        direct = ortho_localizing_matrix(y, p, d).values
+        direct = localizing_matrix(y, p, d, "chebyshev")
         Tfull = chebyshev_transform(n, order)
         pulled = np.linalg.solve(Tfull, y.values)
         Td = chebyshev_transform(n, d)
-        alt = Td @ localizing_matrix(MomentVector(n, order, pulled), p, d).values @ Td.T
+        alt = Td @ localizing_matrix(MomentVector(n, order, pulled), p, d) @ Td.T
         assert np.max(np.abs(direct - alt)) < 1e-10
 
     def test_formulations_isomorphic_on_measures(self):
@@ -297,15 +277,15 @@ class TestChebyshev:
         for d in (1, 2):
             y_mono = moment_vector(spec, 2 * d)
             y_cheb = moment_vector(spec, 2 * d, basis="chebyshev")
-            assert moment_matrix(y_mono, d).min_eigenvalue() >= -1e-8
-            assert ortho_moment_matrix(y_cheb, d).min_eigenvalue() >= -1e-8
+            assert np.linalg.eigvalsh(moment_matrix(y_mono, d))[0] >= -1e-8
+            assert np.linalg.eigvalsh(moment_matrix(y_cheb, d, "chebyshev"))[0] >= -1e-8
 
     def test_dirac_cheb_rank_one(self):
         z = np.array([0.4, -0.2])
         y = MomentVector.from_dirac(z, 4, basis="chebyshev")
-        M = ortho_moment_matrix(y, 2)
+        M = moment_matrix(y, 2, "chebyshev")
         v = basis_values(z, 2, basis="chebyshev")
-        assert np.allclose(M.values, np.outer(v, v), atol=1e-12)
+        assert np.allclose(M, np.outer(v, v), atol=1e-12)
 
     def test_poly_cheb_coeffs_reconstruct(self):
         rng = np.random.default_rng(15)
@@ -324,6 +304,5 @@ class TestChebyshev:
             y = random_vec(rng, 2, 4)
             form = trace_functional(2, 2, basis)
             val = sum(w * y.values[r] for r, w in form.items())
-            M = (moment_matrix(y, 2) if basis == "monomial"
-                 else ortho_moment_matrix(y, 2))
-            assert val == pytest.approx(np.trace(M.values), abs=1e-12)
+            M = moment_matrix(y, 2, basis)
+            assert val == pytest.approx(np.trace(M), abs=1e-12)

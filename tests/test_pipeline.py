@@ -228,6 +228,9 @@ class TestCli:
                      "--max-inner-cap", "800", "--tol", "1e-3",
                      "--samples", "5000", "--out-dir", str(tmp_path)])
         assert code == 0
+        # a sweep report never names an order, even when the sweep has one
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "toy_report.json", "toy_series.csv"]
         series = (tmp_path / "toy_series.csv").read_text()
         header = series.splitlines()[0]
         assert header == "order,p_sdp,p_refine_indicator,p_refine_weighted,p_mc,p_mc_halfwidth"
@@ -263,6 +266,27 @@ class TestCli:
         doc = json.loads((tmp_path / "toy_report.json").read_text())
         assert doc["status"] == "interrupted"
         assert "partial report" in capsys.readouterr().err
+
+    def test_interrupt_after_first_order_keeps_sweep_name(
+            self, toy_file, tmp_path, monkeypatch):
+        import chanceopt.pipeline as pl
+
+        real = pl.build_chance_sdp
+
+        def stop_at_order_three(scaled, order, **kw):
+            if order == 3:
+                raise KeyboardInterrupt
+            return real(scaled, order, **kw)
+
+        monkeypatch.setattr(pl, "build_chance_sdp", stop_at_order_three)
+        code = main(["sweep", str(toy_file), "--dmin", "2", "--dmax", "3",
+                     "--max-inner-cap", "800", "--tol", "1e-3",
+                     "--samples", "2000", "--out-dir", str(tmp_path)])
+        assert code == 130
+        doc = json.loads((tmp_path / "toy_report.json").read_text())
+        assert doc["status"] == "interrupted"
+        assert [r["order"] for r in doc["results"]] == [2]
+        assert not (tmp_path / "toy_d2_report.json").exists()
 
     def test_chebyshev_flag(self, toy_file, tmp_path, capsys):
         code = main(["solve", str(toy_file), "--basis", "chebyshev",

@@ -12,9 +12,6 @@ from chanceopt.poly import (
     grevlex_key,
     monomial_rank,
     monomial_unrank,
-    poly_compose,
-    poly_eval,
-    poly_mul,
 )
 
 
@@ -111,7 +108,7 @@ class TestIndexing:
 class TestPolynomial:
     def test_zero_eval(self):
         z = Polynomial.zero(3)
-        assert poly_eval(z, [1.0, -2.0, 0.5]) == 0.0
+        assert z([1.0, -2.0, 0.5]) == 0.0
 
     def test_single_constraint_quartic_value(self):
         # ((x - 1/2) = 0 collapses the polynomial to q^3/2 - q^4)
@@ -119,18 +116,18 @@ class TestPolynomial:
         q = Polynomial.coordinate(2, 1)
         s = x - 0.5
         p = 0.5 * q * (q**2 + s**2) - (q**4 + q**2 * s**2 + s**4)
-        assert poly_eval(p, [0.5, 0.25]) == pytest.approx(0.00390625, abs=1e-15)
+        assert p([0.5, 0.25]) == pytest.approx(0.00390625, abs=1e-15)
 
     def test_affine_substitution_value(self):
         a, b, c = 1.3, 0.4, -2.0
         p = Polynomial(2, {(0, 0): a, (1, 0): -b, (0, 2): -c})
-        assert poly_eval(p, [1.0, 1.0]) == pytest.approx(a - b - c)
+        assert p([1.0, 1.0]) == pytest.approx(a - b - c)
 
     def test_mul_identity(self):
         rng = np.random.default_rng(2)
         p = _random_poly(rng, 3, 3)
         one = Polynomial.constant(3, 1.0)
-        assert poly_mul(p, one) == p
+        assert p * one == p
 
     def test_binomial_square(self):
         x1 = Polynomial.coordinate(2, 0)
@@ -144,8 +141,8 @@ class TestPolynomial:
             p = _random_poly(rng, 2, 3)
             q = _random_poly(rng, 2, 3)
             z = rng.uniform(-1, 1, 2)
-            lhs = poly_eval(poly_mul(p, q), z)
-            rhs = poly_eval(p, z) * poly_eval(q, z)
+            lhs = (p * q)(z)
+            rhs = p(z) * q(z)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_eval_many_matches_scalar(self):
@@ -160,7 +157,7 @@ class TestPolynomial:
         # substituting x = (u + 1) / 2 into x gives the shifted coordinate
         x = Polynomial.coordinate(1, 0)
         sub = Polynomial(1, {(0,): 0.5, (1,): 0.5})
-        comp = poly_compose(x, [sub])
+        comp = x.compose([sub])
         assert comp == sub
 
     def test_compose_eval_consistency(self):
@@ -169,8 +166,8 @@ class TestPolynomial:
             p = _random_poly(rng, 2, 3)
             subs = [_random_poly(rng, 2, 2) for _ in range(2)]
             z = rng.uniform(-1, 1, 2)
-            lhs = poly_eval(poly_compose(p, subs), z)
-            rhs = poly_eval(p, [poly_eval(s, z) for s in subs])
+            lhs = p.compose(subs)(z)
+            rhs = p([s(z) for s in subs])
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_degree_tracks_terms(self):
@@ -186,9 +183,9 @@ class TestPolynomial:
         p = Polynomial.coordinate(2, 0)
         q = Polynomial.coordinate(3, 0)
         with pytest.raises(DimensionError):
-            poly_mul(p, q)
+            p * q
         with pytest.raises(DimensionError):
-            poly_eval(p, [1.0])
+            p([1.0])
 
 
 def _random_poly(rng, num_vars, degree):

@@ -422,14 +422,12 @@ class TestTraceRegularization:
     def test_near_rank_one_decision_moments(self):
         # with enough trace weight the decision moment matrix collapses
         # toward rank one at the optimum
-        from chanceopt.moments import moment_matrix
-
         def eig_ratio(omega):
             prog = build_chance_sdp(util.toy_problem(), 2, omega_r=omega)
             trace = alcc_solve(prog, _quick_params(max_inner_cap=6000))
             sol = decode(prog, trace.x)
-            M = moment_matrix(MomentVector(1, 4, sol.y_x), 2)
-            eigs = np.linalg.eigvalsh(M.values)
+            M = util.moment_matrix(MomentVector(1, 4, sol.y_x), 2)
+            eigs = np.linalg.eigvalsh(M)
             return eigs[-2] / eigs[-1]
 
         if eig_ratio(0.1) > 0.05:

@@ -1,15 +1,73 @@
 """Shared helpers for the test suite."""
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, triu_info
+from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, triu_info, unsvec
 from chanceopt.measures import DistributionSpec, Uniform, joint_moment, sample
-from chanceopt.moments import MomentVector
-from chanceopt.poly import Polynomial, exponents, grevlex_key
+from chanceopt.moments import (
+    MomentVector,
+    basis_values,
+    localizing_block_terms,
+    moment_block_terms,
+    terms_matrix,
+)
+from chanceopt.poly import Polynomial, basis_size, exponents, grevlex_key
 from chanceopt.relaxation import ChanceProblem
+
+
+def reference_psd_project(mat: np.ndarray) -> np.ndarray:
+    """Dense PSD projection oracle: eigendecomposition, then clip at zero."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
+
+
+@lru_cache(maxsize=None)
+def block_program(*dims: int) -> ConicProgram:
+    """Program with zero blocks of the given dimensions, for projecting."""
+    blocks = [PsdBlock(dim=d, label=f"b{i}",
+                       coeffs=sp.csr_matrix((d * (d + 1) // 2, 1)),
+                       constant=np.zeros((d, d)))
+              for i, d in enumerate(dims)]
+    box = SimpleSet(lower=np.array([-1.0]), upper=np.array([1.0]),
+                    pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
+    return ConicProgram(objective=np.zeros(1), blocks=blocks, simple_set=box)
+
+
+def project_psd(mat: np.ndarray) -> np.ndarray:
+    """PSD projection of one symmetric matrix by ``ConicProgram.project_dual``."""
+    dim = mat.shape[0]
+    return unsvec(block_program(dim).project_dual(svec(mat)), dim)
+
+
+def moment_matrix(y: MomentVector, d: int, basis: str = "monomial") -> np.ndarray:
+    """Order-d moment matrix at ``y``: the block terms the builder uses."""
+    return terms_matrix(moment_block_terms(y.num_vars, d, basis), y.values,
+                        basis_size(y.num_vars, d))
+
+
+def localizing_matrix(y: MomentVector, p: Polynomial, d: int,
+                      basis: str = "monomial") -> np.ndarray:
+    """Order-d localizing matrix of ``p`` at ``y`` from the builder's block terms."""
+    return terms_matrix(localizing_block_terms(p, d, basis), y.values,
+                        basis_size(p.num_vars, d))
+
+
+def reference_measure_matrix(points, weights, d: int, basis: str = "monomial",
+                             p: Polynomial | None = None) -> np.ndarray:
+    """Oracle: sum_k w_k p(z_k) b(z_k) b(z_k)^T over a discrete measure.
+
+    ``b`` is ``basis_values`` at order d; without ``p`` this is the moment
+    matrix of the measure, with it the localizing matrix of ``p``.
+    """
+    out = 0.0
+    for z, w in zip(points, weights):
+        v = basis_values(z, d, basis)
+        out = out + w * (1.0 if p is None else p(z)) * np.outer(v, v)
+    return out
 
 
 def toy_problem() -> ChanceProblem:
