@@ -61,6 +61,12 @@ class SolverParams:
             raise ValueError("alpha0 must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
+        if self.max_inner_cap < 1:
+            raise ValueError("max_inner_cap must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

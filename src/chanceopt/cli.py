@@ -10,8 +10,10 @@ Subcommands::
     chanceopt grid    problem.json [flags]    # grid-search baseline
     chanceopt bundled NAME [--out FILE]       # copy a bundled problem file
 
-Flags override the problem file's options.  Exit codes: 0 success,
-2 input error, 3 solver non-convergence, 4 resource guard.
+Flags override the problem file's options and are validated by the same
+dataclasses; ``--seed`` sets both the solver and the Monte Carlo seed.
+Exit codes: 0 success, 2 input error (an invalid flag value included),
+3 solver non-convergence, 4 resource guard.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ChanceOptError, ProblemFormatError, ResourceError
+from .moments import BASES
 from .pipeline import baseline_grid, input_hash, run_pipeline
 from .problem_io import parse, parse_refine_mode
 from .problems import BUNDLED, bundled_path
@@ -32,23 +35,37 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_RESOURCE = 4
 
+# (flag, options section or None for RunOptions itself, field)
+FLAGS = (
+    ("--order", None, "order"),
+    ("--omega-r", None, "omega_r"),
+    ("--basis", None, "basis"),
+    ("--refine-mode", None, "refine_mode"),
+    ("--nu0", "solver", "nu0"),
+    ("--beta-growth", "solver", "beta"),
+    ("--tol", "solver", "tol"),
+    ("--max-outer", "solver", "max_outer"),
+    ("--max-inner-cap", "solver", "max_inner_cap"),
+    ("--seed", "solver", "seed"),
+    ("--seed", "mc", "seed"),
+    ("--samples", "mc", "samples"),
+    ("--grid", "mc", "grid_points"),
+)
+
 
 def _add_common_flags(sp):
     sp.add_argument("problem", help="problem file (JSON) or bundled name")
     sp.add_argument("--order", "-d", type=int, help="relaxation order")
-    sp.add_argument("--omega-r", type=float, dest="omega_r",
-                    help="trace regularization weight")
-    sp.add_argument("--basis", choices=["monomial", "chebyshev"],
-                    help="matrix basis for the relaxation")
-    sp.add_argument("--refine-mode", dest="refine_mode",
+    sp.add_argument("--omega-r", type=float, help="trace regularization weight")
+    sp.add_argument("--basis", choices=BASES, help="matrix basis for the relaxation")
+    sp.add_argument("--refine-mode",
                     help="indicator | product | single:<j> (j is a 0-based "
                          "polynomial index)")
     sp.add_argument("--nu0", type=float, help="initial penalty")
-    sp.add_argument("--beta-growth", type=float, dest="beta_growth",
-                    help="penalty growth factor (> 1)")
+    sp.add_argument("--beta-growth", type=float, help="penalty growth factor (> 1)")
     sp.add_argument("--tol", type=float, help="outer relative-change stop")
-    sp.add_argument("--max-outer", type=int, dest="max_outer")
-    sp.add_argument("--max-inner-cap", type=int, dest="max_inner_cap")
+    sp.add_argument("--max-outer", type=int)
+    sp.add_argument("--max-inner-cap", type=int)
     sp.add_argument("--seed", type=int, help="seed for solver and Monte Carlo")
     sp.add_argument("--samples", type=int, help="Monte Carlo samples per estimate")
     sp.add_argument("--grid", type=int, help="grid points per decision coordinate")
@@ -96,35 +113,23 @@ def _locate(problem_arg: str) -> Path:
 
 
 def _apply_flags(options, args):
-    solver = options.solver
-    mc = options.mc
-    if args.nu0 is not None:
-        solver = replace(solver, nu0=args.nu0)
-    if args.beta_growth is not None:
-        solver = replace(solver, beta=args.beta_growth)
-    if args.tol is not None:
-        solver = replace(solver, tol=args.tol)
-    if args.max_outer is not None:
-        solver = replace(solver, max_outer=args.max_outer)
-    if args.max_inner_cap is not None:
-        solver = replace(solver, max_inner_cap=args.max_inner_cap)
-    if args.seed is not None:
-        solver = replace(solver, seed=args.seed)
-        mc = replace(mc, seed=args.seed)
-    if args.samples is not None:
-        mc = replace(mc, samples=args.samples)
-    if args.grid is not None:
-        mc = replace(mc, grid_points=args.grid)
-    options = replace(options, solver=solver, mc=mc)
-    if args.order is not None:
-        options = replace(options, order=args.order)
-    if args.omega_r is not None:
-        options = replace(options, omega_r=args.omega_r)
-    if args.basis is not None:
-        options = replace(options, basis=args.basis)
-    if args.refine_mode is not None:
-        mode, idx = parse_refine_mode(args.refine_mode, "--refine-mode")
-        options = replace(options, refine_mode=mode, refine_index=idx)
+    """``options`` with each given flag's value, validated like a file value."""
+    for flag, section, name in FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        changes = {name: value}
+        if name == "refine_mode":
+            mode, index = parse_refine_mode(value, flag)
+            changes = {"refine_mode": mode, "refine_index": index}
+        try:
+            if section is None:
+                options = replace(options, **changes)
+            else:
+                part = replace(getattr(options, section), **changes)
+                options = replace(options, **{section: part})
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc), flag)
     return options
 
 

@@ -46,13 +46,15 @@ _BLOCK = 4096
 class McConfig:
     samples: int = 100_000
     grid_points: int = 41
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.grid_points < 1:
             raise ValueError("grid_points must be at least 1")
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 class UnionEvaluator:

@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .alcc import SolverTrace, alcc_solve
 from .mc import McConfig, estimate_probability, grid_search
-from .problem_io import RunOptions
+from .problem_io import RunOptions, emit_options
 from .relaxation import (
     ChanceProblem,
     ScaledProblem,
@@ -49,18 +49,7 @@ class OrderResult:
     flags: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "p_sdp": self.p_sdp,
-            "x": self.x,
-            "p_refine_indicator": self.p_refine_indicator,
-            "p_refine_weighted": self.p_refine_weighted,
-            "p_mc": self.p_mc,
-            "p_mc_halfwidth": self.p_mc_halfwidth,
-            "solver": self.solver,
-            "wall_times": self.wall_times,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 def _trace_summary(trace: SolverTrace) -> dict:
@@ -116,7 +105,6 @@ class RunReport:
     program: object = field(default=None, repr=False)  # set by the build command
 
     def as_dict(self) -> dict:
-        from .problem_io import _emit_options
         return {
             "tool": "chanceopt",
             "version": __version__,
@@ -124,7 +112,7 @@ class RunReport:
             "command": self.command,
             "status": self.status,
             "input_sha256": self.source_hash,
-            "options": _emit_options(self.options),
+            "options": emit_options(self.options),
             "results": [r.as_dict() for r in self.results],
         }
 

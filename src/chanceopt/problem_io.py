@@ -14,13 +14,16 @@ A problem file is a UTF-8 JSON document::
 
 Exponents list the decision variables first, then the random ones.
 Coordinates are written in user units; scaling to the internal box is the
-tool's job.  ``options`` mirrors the CLI flags and may be partial.
+tool's job.  ``options`` may be partial; its keys are the fields of
+:class:`RunOptions` (``solver`` and ``mc`` nest ``SolverParams`` and
+``McConfig``), and the dataclasses, not the parser, decide which values are
+valid, for file values and CLI flags alike.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ from .poly import Polynomial, grevlex_key
 from .relaxation import ChanceProblem
 
 SCHEMA = "chanceopt/1"
+REFINE_MODES = ("indicator", "product", "single")
 
 
 @dataclass(frozen=True)
@@ -48,15 +52,30 @@ class RunOptions:
     solver: SolverParams = field(default_factory=SolverParams)
     mc: McConfig = field(default_factory=McConfig)
 
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("order must be nonnegative")
+        if self.omega_r < 0:
+            raise ValueError("omega_r must be nonnegative")
+        if self.basis not in BASES:
+            raise ValueError(f"basis must be one of {BASES}")
+        if self.refine_mode not in REFINE_MODES:
+            raise ValueError(f"refine_mode must be one of {REFINE_MODES}")
+        if (self.refine_index is None) == (self.refine_mode == "single"):
+            raise ValueError("refine_index is set exactly when refine_mode is single")
+
 
 def _expect(cond: bool, message: str, path: str):
     if not cond:
         raise ProblemFormatError(message, path)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _num(value, message: str, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            message, path)
+    _expect(isinstance(value, float) or _is_int(value), message, path)
     v = float(value)
     _expect(np.isfinite(v), f"{message} (must be finite)", path)
     return v
@@ -109,52 +128,13 @@ def _parse_polynomial(entry, num_vars: int, path: str) -> Polynomial:
                 f"(decision variables first, then random ones)",
                 f"{tpath}.exponents")
         for i, e in enumerate(exps):
-            _expect(isinstance(e, int) and not isinstance(e, bool) and e >= 0,
+            _expect(_is_int(e) and e >= 0,
                     f"exponent entries must be nonnegative integers, got {e!r}",
                     f"{tpath}.exponents[{i}]")
         coeff = _num(rec.get("coeff"), "term needs a numeric coeff", f"{tpath}.coeff")
         key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + coeff
     return Polynomial(num_vars, terms)
-
-
-def _parse_solver(entry, path: str) -> SolverParams:
-    _expect(isinstance(entry, dict), "solver options must be an object", path)
-    known = {"nu0", "beta", "c", "alpha0", "tol", "max_outer", "max_inner_cap", "seed"}
-    unknown = set(entry) - known
-    _expect(not unknown, f"unknown solver option(s) {sorted(unknown)}", path)
-    kwargs = {}
-    for key in ("nu0", "beta", "c", "alpha0", "tol"):
-        if key in entry:
-            kwargs[key] = _num(entry[key], f"{key} must be numeric", f"{path}.{key}")
-    for key in ("max_outer", "max_inner_cap", "seed"):
-        if key in entry:
-            v = entry[key]
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"{key} must be an integer", f"{path}.{key}")
-            kwargs[key] = v
-    try:
-        return SolverParams(**kwargs)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc), path)
-
-
-def _parse_mc(entry, path: str) -> McConfig:
-    _expect(isinstance(entry, dict), "mc options must be an object", path)
-    known = {"samples", "grid_points", "seed"}
-    unknown = set(entry) - known
-    _expect(not unknown, f"unknown mc option(s) {sorted(unknown)}", path)
-    kwargs = {}
-    for key in known:
-        if key in entry:
-            v = entry[key]
-            _expect(isinstance(v, int) and not isinstance(v, bool),
-                    f"{key} must be an integer", f"{path}.{key}")
-            kwargs[key] = v
-    try:
-        return McConfig(**kwargs)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc), path)
 
 
 def parse_refine_mode(text: str, path: str = "$.options.refine_mode"):
@@ -175,34 +155,32 @@ def parse_refine_mode(text: str, path: str = "$.options.refine_mode"):
     )
 
 
-def _parse_options(entry, path: str) -> RunOptions:
+def _parse_fields(cls, entry, path: str):
+    """Build the options dataclass ``cls`` from ``entry``, checking each
+    value's JSON type against the field default's (``solver``, ``mc`` recurse)."""
     _expect(isinstance(entry, dict), "options must be an object", path)
-    known = {"order", "omega_r", "basis", "refine_mode", "solver", "mc"}
+    default = cls()
+    known = {f.name for f in fields(cls)} - {"refine_index"}
     unknown = set(entry) - known
     _expect(not unknown, f"unknown option(s) {sorted(unknown)}", path)
-    opts = RunOptions()
-    if "order" in entry:
-        v = entry["order"]
-        _expect(isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-                "order must be a nonnegative integer", f"{path}.order")
-        opts = replace(opts, order=v)
-    if "omega_r" in entry:
-        v = _num(entry["omega_r"], "omega_r must be numeric", f"{path}.omega_r")
-        _expect(v >= 0, "omega_r must be nonnegative", f"{path}.omega_r")
-        opts = replace(opts, omega_r=v)
-    if "basis" in entry:
-        _expect(entry["basis"] in BASES, f"basis must be one of {BASES}", f"{path}.basis")
-        opts = replace(opts, basis=entry["basis"])
-    if "refine_mode" in entry:
-        _expect(isinstance(entry["refine_mode"], str), "refine_mode must be a string",
-                f"{path}.refine_mode")
-        mode, idx = parse_refine_mode(entry["refine_mode"], f"{path}.refine_mode")
-        opts = replace(opts, refine_mode=mode, refine_index=idx)
-    if "solver" in entry:
-        opts = replace(opts, solver=_parse_solver(entry["solver"], f"{path}.solver"))
-    if "mc" in entry:
-        opts = replace(opts, mc=_parse_mc(entry["mc"], f"{path}.mc"))
-    return opts
+    kwargs = {}
+    for key, value in entry.items():
+        like, kpath = getattr(default, key), f"{path}.{key}"
+        if is_dataclass(like):
+            value = _parse_fields(type(like), value, kpath)
+        elif isinstance(like, float):
+            value = _num(value, f"{key} must be numeric", kpath)
+        else:  # int or str; a bool is not an int here
+            _expect(type(value) is type(like), f"{key} must be a JSON "
+                    f"{'integer' if isinstance(like, int) else 'string'}", kpath)
+        kwargs[key] = value
+    if "refine_mode" in kwargs:
+        kwargs["refine_mode"], kwargs["refine_index"] = parse_refine_mode(
+            kwargs["refine_mode"], f"{path}.refine_mode")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), path)
 
 
 def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
@@ -213,8 +191,8 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
     name = doc.get("name", "problem")
     _expect(isinstance(name, str) and name, "name must be a nonempty string", "$.name")
     n, m = doc.get("n"), doc.get("m")
-    _expect(isinstance(n, int) and n >= 1, "n must be a positive integer", "$.n")
-    _expect(isinstance(m, int) and m >= 1, "m must be a positive integer", "$.m")
+    _expect(_is_int(n) and n >= 1, "n must be a positive integer", "$.n")
+    _expect(_is_int(m) and m >= 1, "m must be a positive integer", "$.m")
 
     box = doc.get("decision_box")
     _expect(isinstance(box, list) and len(box) == n,
@@ -247,7 +225,7 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
             for j, pjson in enumerate(s)
         ))
 
-    options = _parse_options(doc.get("options", {}), "$.options")
+    options = _parse_fields(RunOptions, doc.get("options", {}), "$.options")
     problem = ChanceProblem(
         name=name, n=n, m=m, sets=tuple(parsed_sets),
         dist=DistributionSpec(coords), decision_box=tuple(parsed_box),
@@ -273,31 +251,13 @@ def _emit_distribution(dist) -> dict:
     return {"type": "moments", "params": {"values": list(dist.values)}}
 
 
-def _emit_options(options: RunOptions) -> dict:
-    mode = options.refine_mode
-    if mode == "single":
-        mode = f"single:{options.refine_index}"
-    return {
-        "order": options.order,
-        "omega_r": options.omega_r,
-        "basis": options.basis,
-        "refine_mode": mode,
-        "solver": {
-            "nu0": options.solver.nu0,
-            "beta": options.solver.beta,
-            "c": options.solver.c,
-            "alpha0": options.solver.alpha0,
-            "tol": options.solver.tol,
-            "max_outer": options.solver.max_outer,
-            "max_inner_cap": options.solver.max_inner_cap,
-            "seed": options.solver.seed,
-        },
-        "mc": {
-            "samples": options.mc.samples,
-            "grid_points": options.mc.grid_points,
-            "seed": options.mc.seed,
-        },
-    }
+def emit_options(options: RunOptions) -> dict:
+    """The file form of ``options``, every field written out."""
+    doc = asdict(options)
+    index = doc.pop("refine_index")
+    if index is not None:
+        doc["refine_mode"] = f"single:{index}"
+    return doc
 
 
 def _emit_polynomial(p: Polynomial) -> list:
@@ -319,7 +279,7 @@ def emit_document(problem: ChanceProblem, options: RunOptions | None = None) -> 
         "sets": [[_emit_polynomial(p) for p in s] for s in problem.sets],
     }
     if options is not None:
-        doc["options"] = _emit_options(options)
+        doc["options"] = emit_options(options)
     return doc
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from .alcc import SolverParams
 from .measures import Beta, DistributionSpec, Uniform
 from .poly import Polynomial
-from .problem_io import RunOptions, emit_document, parse_document
+from .problem_io import RunOptions, parse_document, write_problem
 from .relaxation import ChanceProblem
 
 BUNDLED = (
@@ -241,10 +241,7 @@ def write_bundled_files(directory) -> list:
     written = []
     for name, ctor in CONSTRUCTORS.items():
         problem, options = ctor()
-        doc = emit_document(problem, options)
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(write_problem(problem, directory / f"{name}.json", options))
     return written
 
 

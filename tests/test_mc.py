@@ -217,6 +217,12 @@ class TestGridSearch:
                            McConfig(samples=20_000, grid_points=41, seed=2))
         assert abs(p - 0.25) <= 0.02
 
+    def test_config_accepts_seed_sequence(self):
+        seed = np.random.SeedSequence([0, 1])
+        assert McConfig(seed=seed).seed is seed
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=-1)
+
     def test_budget_guard(self):
         prob5 = ChanceProblem(
             name="big", n=5, m=1,

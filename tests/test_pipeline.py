@@ -164,6 +164,18 @@ class TestCli:
         assert main(["solve", str(bad)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--nu0", "0"), ("--beta-growth", "1"), ("--tol", "0"),
+        ("--max-outer", "0"), ("--max-inner-cap", "0"), ("--seed", "-1"),
+        ("--samples", "0"), ("--grid", "0"), ("--order", "-1"),
+        ("--omega-r", "-1"),
+    ])
+    def test_invalid_flag_exit_two(self, flag, value, tmp_path, capsys):
+        assert main(["solve", "example1_pair", flag, value,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"input error: {flag}:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_file_exit_two(self):
         assert main(["solve", "no_such_problem.json"]) == 2
 

@@ -103,6 +103,49 @@ class TestParse:
         with pytest.raises(ProblemFormatError, match="unknown option"):
             parse_document(doc)
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_bool_count_rejected(self, key):
+        doc = minimal_doc()
+        doc[key] = True
+        with pytest.raises(ProblemFormatError, match=rf"\$\.{key}:"):
+            parse_document(doc)
+
+    @pytest.mark.parametrize("options,where", [
+        pytest.param({"solver": {"max_outer": 0}},
+                     r"\$\.options\.solver: max_outer", id="max_outer"),
+        pytest.param({"solver": {"max_inner_cap": 0}},
+                     r"\$\.options\.solver: max_inner_cap", id="max_inner_cap"),
+        pytest.param({"solver": {"seed": -1}}, r"\$\.options\.solver: seed",
+                     id="solver_seed"),
+        pytest.param({"mc": {"seed": -1}}, r"\$\.options\.mc: seed", id="mc_seed"),
+        pytest.param({"order": -1}, r"\$\.options: order", id="order"),
+        pytest.param({"omega_r": -1}, r"\$\.options: omega_r", id="omega_r"),
+        pytest.param({"basis": "legendre"}, r"\$\.options: basis", id="basis"),
+        pytest.param({"solver": {"nu0": "1"}},
+                     r"\$\.options\.solver\.nu0: nu0 must be numeric", id="nu0_type"),
+        pytest.param({"mc": {"samples": 1.5}},
+                     r"\$\.options\.mc\.samples: samples must be a JSON integer",
+                     id="samples_type"),
+        pytest.param({"basis": 3}, r"\$\.options\.basis: basis must be a JSON string",
+                     id="basis_type"),
+        pytest.param({"mc": {"grid": 5}}, r"\$\.options\.mc: unknown option",
+                     id="mc_unknown"),
+    ])
+    def test_invalid_option_names_field(self, options, where):
+        doc = minimal_doc()
+        doc["options"] = options
+        with pytest.raises(ProblemFormatError, match=where):
+            parse_document(doc)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"refine_mode": "fancy"},
+        {"refine_mode": "single"},
+        {"refine_mode": "product", "refine_index": 1},
+    ])
+    def test_refine_index_set_exactly_for_single(self, kwargs):
+        with pytest.raises(ValueError, match="refine_"):
+            RunOptions(**kwargs)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

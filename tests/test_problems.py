@@ -15,6 +15,13 @@ class TestBundledFiles:
             assert file_problem == ctor_problem, name
             assert file_options == ctor_options, name
 
+    def test_regenerated_files_match_shipped_bytes(self, tmp_path):
+        written = problems.write_bundled_files(tmp_path)
+        assert sorted(p.name for p in written) == sorted(f"{n}.json" for n in problems.BUNDLED)
+        for path in written:
+            shipped = problems.bundled_path(path.stem).read_bytes()
+            assert path.read_bytes() == shipped, path.name
+
     def test_bundled_listing(self):
         assert set(problems.BUNDLED) == set(problems.CONSTRUCTORS)
 
