@@ -22,6 +22,7 @@ is ``ConicProgram.project_dual``.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -51,6 +52,9 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("nu0", "beta", "c", "alpha0", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.nu0 <= 0:
             raise ValueError("nu0 must be positive")
         if self.beta <= 1:

@@ -24,12 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    from .relaxation import ProgramMeta
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -71,10 +74,6 @@ class PsdBlock:
     @property
     def tri_size(self) -> int:
         return self.dim * (self.dim + 1) // 2
-
-    def coefficient_matrix(self, scalar: int) -> np.ndarray:
-        """Dense C_i for one scalar variable (test/debug helper)."""
-        return unsvec(np.asarray(self.coeffs[:, scalar].todense()).ravel(), self.dim)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return unsvec(self.coeffs @ x, self.dim) - self.constant
@@ -120,7 +119,7 @@ class ConicProgram:
     objective: np.ndarray
     blocks: list
     simple_set: SimpleSet
-    meta: dict = field(default_factory=dict)
+    meta: Optional[ProgramMeta] = None   # set by the relaxation builders
 
     _stacked: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _stacked_t: Optional[sp.csr_matrix] = field(default=None, repr=False)

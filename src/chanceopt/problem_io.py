@@ -23,6 +23,7 @@ valid, for file values and CLI flags alike.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -34,10 +35,9 @@ from .mc import McConfig
 from .measures import Beta, DistributionSpec, ExplicitMoments, Uniform
 from .moments import BASES, MONOMIAL
 from .poly import Polynomial, grevlex_key
-from .relaxation import ChanceProblem
+from .relaxation import REFINE_MODES, ChanceProblem
 
 SCHEMA = "chanceopt/1"
-REFINE_MODES = ("indicator", "product", "single")
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class RunOptions:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be nonnegative")
+        if not math.isfinite(self.omega_r):
+            raise ValueError("omega_r must be finite")
         if self.omega_r < 0:
             raise ValueError("omega_r must be nonnegative")
         if self.basis not in BASES:

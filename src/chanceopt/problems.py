@@ -18,17 +18,6 @@ from .poly import Polynomial
 from .problem_io import RunOptions, parse_document, write_problem
 from .relaxation import ChanceProblem
 
-BUNDLED = (
-    "example1_toy",
-    "example1_pair",
-    "example1_5d",
-    "example2_union",
-    "example3_portfolio",
-    "example4_control",
-    "example5_scaling",
-)
-
-
 def _vars(total: int):
     return [Polynomial.coordinate(total, i) for i in range(total)]
 
@@ -221,6 +210,7 @@ CONSTRUCTORS = {
     "example4_control": example4_control,
     "example5_scaling": example5_scaling,
 }
+BUNDLED = tuple(CONSTRUCTORS)
 
 
 def bundled_path(name: str):

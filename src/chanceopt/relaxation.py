@@ -21,6 +21,17 @@ dominated by the known distribution, either maximizing plain mass
 ("indicator") or a mass weighted by the set polynomials evaluated at the
 fixed decision ("product" / "single"), which trades the discontinuous
 indicator for a continuous weight and converges faster in practice.
+
+The refinement is the relaxation with the decision measure replaced by a
+point mass, so both builders share one assembly.  ``_localized_sets``
+prepends the ball certificate (fixing the decision for a refinement) and
+checks every localizer against the order; ``_assemble`` emits the per-set
+moment and localizing blocks, the dominance terms subtracting each set's
+moments, the weighted-mass objective (plain mass is weight 1), the box
+with pins and the ``ProgramMeta`` that ``decode`` reads from
+``program.meta``.  The chance builder adds the decision block, the lift
+of the decision moments into the dominance block and the trace term; the
+refinement builder adds the weights and the known law's moments.
 """
 
 from __future__ import annotations
@@ -211,16 +222,12 @@ class ProgramMeta:
     """Decode bookkeeping attached to every built program."""
 
     kind: str
-    name: str
     order: int
     basis: str
     scaled: ScaledProblem
     set_slices: list
     yx_slice: Optional[slice] = None
-    omega_r: float = 0.0
     mode: str = ""
-    weight_index: Optional[int] = None
-    x_scaled: Optional[np.ndarray] = None
 
 
 def _svec_row_index(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -252,6 +259,102 @@ def _block_from_terms(dim: int, label: str, num_scalars: int, groups,
     return PsdBlock(dim=dim, label=label, coeffs=coeffs, constant=constant)
 
 
+def _localized_sets(prob: ChanceProblem, order: int, x_scaled=None) -> list:
+    """Each set with the ball certificate first, the decision fixed at
+    ``x_scaled`` when given; every localizing block must fit ``order``."""
+    n = prob.n
+    sets = [add_ball_certificate(s, n, prob.m) for s in prob.sets]
+    fixed = ""
+    if x_scaled is not None:
+        sets = [tuple(substitute_decision(p, n, x_scaled) for p in s) for s in sets]
+        fixed = " after fixing the decision"
+    need = max(_localizer_order(p) for s in sets for p in s)
+    for k, s in enumerate(sets):
+        for j, p in enumerate(s):
+            if _localizer_order(p) > order:
+                what = f"polynomial {j - 1}" if j else "ball certificate"
+                raise OrderError(f"set {k} {what} has degree {p.degree}{fixed}; "
+                                 f"the minimum relaxation order is {need}")
+    return sets
+
+
+def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: str,
+              weights: Optional[list] = None, yx_slice: Optional[slice] = None,
+              decision_block: Optional[PsdBlock] = None, lift=None,
+              law: Optional[np.ndarray] = None, mode: str = "") -> ConicProgram:
+    """The part both programs share: one measure per set, dominated jointly.
+
+    Set k's moment vector (its variables are those of ``sets``) occupies
+    the k-th slice of the scalars.  It gets a moment block, a localizing
+    block per polynomial that has not vanished, and enters the objective
+    as its mass weighted by ``weights[k]`` (plain mass when omitted).  The
+    dominance block subtracts every set's moments from the law's: a
+    constant ``law`` moment vector, or the ``lift`` (scalar index, factor)
+    of decision moments placed at ``yx_slice``, whose mass is pinned to 1.
+    """
+    num_vars = sets[0][0].num_vars
+    if weights is None:
+        weights = [Polynomial.constant(num_vars, 1.0)] * len(sets)
+    for k, w in enumerate(weights):
+        if w.degree > 2 * order:
+            raise OrderError(
+                f"weight polynomial of set {k} has degree {w.degree} > {2 * order}; "
+                f"increase the order or use indicator mode"
+            )
+
+    s_set = basis_size(num_vars, 2 * order)
+    set_slices = [slice(k * s_set, (k + 1) * s_set) for k in range(len(sets))]
+    num_scalars = yx_slice.stop if yx_slice else len(sets) * s_set
+
+    blocks = []
+    mom_terms = moment_block_terms(num_vars, order, basis)
+    mom_rows, mom_cols, mom_ranks, mom_coefs = mom_terms
+    dim = basis_size(num_vars, order)
+    for k, polys in enumerate(sets):
+        off = set_slices[k].start
+        blocks.append(_block_from_terms(
+            dim, f"moment[{k}]", num_scalars,
+            [(mom_rows, mom_cols, off + mom_ranks, mom_coefs)],
+        ))
+        for j, p in enumerate(polys):
+            if not p.terms:
+                continue    # vanished at the fixed decision: 0 >= 0 is vacuous
+            dloc = order - _localizer_order(p)
+            lr, lc, lranks, lcoefs = localizing_block_terms(p, dloc, basis)
+            blocks.append(_block_from_terms(
+                basis_size(num_vars, dloc), f"localizer[{k},{j}]", num_scalars,
+                [(lr, lc, off + lranks, lcoefs)],
+            ))
+    if decision_block is not None:
+        blocks.append(decision_block)
+
+    groups = [(mom_rows, mom_cols, sl.start + mom_ranks, -mom_coefs) for sl in set_slices]
+    if lift is not None:
+        lift_idx, lift_fac = lift
+        groups.insert(0, (mom_rows, mom_cols, lift_idx[mom_ranks],
+                          mom_coefs * lift_fac[mom_ranks]))
+    constant = None if law is None else -terms_matrix(mom_terms, law, dim)
+    blocks.append(_block_from_terms(dim, "dominance", num_scalars, groups,
+                                    constant=constant))
+
+    objective = np.zeros(num_scalars)
+    for sl, w in zip(set_slices, weights):
+        coeff_map = w.terms if basis == MONOMIAL else poly_cheb_coeffs(w)
+        for gamma, coef in coeff_map.items():
+            objective[sl.start + monomial_rank(gamma)] -= coef
+
+    pinned = [] if yx_slice is None else [yx_slice.start]
+    simple = SimpleSet(
+        lower=np.full(num_scalars, -1.0),
+        upper=np.full(num_scalars, 1.0),
+        pinned_idx=np.array(pinned, dtype=int),
+        pinned_val=np.ones(len(pinned)),
+    )
+    meta = ProgramMeta(kind=kind, order=order, basis=basis, scaled=scaled,
+                       set_slices=set_slices, yx_slice=yx_slice, mode=mode)
+    return ConicProgram(objective=objective, blocks=blocks, simple_set=simple, meta=meta)
+
+
 def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
                      basis: str = MONOMIAL) -> ConicProgram:
     """Emit the order-d conic relaxation of a chance problem.
@@ -266,77 +369,21 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
         raise ValueError("omega_r must be nonnegative")
     scaled = _as_scaled(problem)
     prob = scaled.problem
-    n, m, nm = prob.n, prob.m, prob.n + prob.m
+    n = prob.n
+    sets = _localized_sets(prob, order)
 
-    sets_b = [add_ball_certificate(s, n, m) for s in prob.sets]
-    d_min = min_relaxation_order(prob)
-    if order < d_min:
-        for k, s in enumerate(prob.sets):
-            for j, poly in enumerate(s):
-                if _localizer_order(poly) > order:
-                    raise OrderError(
-                        f"set {k} polynomial {j} has degree {poly.degree}; "
-                        f"the minimum relaxation order for this problem is {d_min}"
-                    )
-        raise OrderError(f"the minimum relaxation order for this problem is {d_min}")
-
-    s_joint = basis_size(nm, 2 * order)
-    s_dec = basis_size(n, 2 * order)
-    num_sets = prob.num_sets
-    num_scalars = num_sets * s_joint + s_dec
-    yx_off = num_sets * s_joint
-    set_slices = [slice(k * s_joint, (k + 1) * s_joint) for k in range(num_sets)]
-
-    blocks = []
-    mom_rows, mom_cols, mom_ranks, mom_coefs = moment_block_terms(nm, order, basis)
-    dim_joint = basis_size(nm, order)
-    for k in range(num_sets):
-        off = k * s_joint
-        blocks.append(_block_from_terms(
-            dim_joint, f"moment[{k}]", num_scalars,
-            [(mom_rows, mom_cols, off + mom_ranks, mom_coefs)],
-        ))
-        for j, poly in enumerate(sets_b[k]):
-            dloc = order - _localizer_order(poly)
-            lr, lc, lranks, lcoefs = localizing_block_terms(poly, dloc, basis)
-            blocks.append(_block_from_terms(
-                basis_size(nm, dloc), f"localizer[{k},{j}]", num_scalars,
-                [(lr, lc, off + lranks, lcoefs)],
-            ))
-
+    yx_off = prob.num_sets * basis_size(n + prob.m, 2 * order)
+    yx_slice = slice(yx_off, yx_off + basis_size(n, 2 * order))
     xr, xc, xranks, xcoefs = moment_block_terms(n, order, basis)
-    blocks.append(_block_from_terms(
-        basis_size(n, order), "decision_moment", num_scalars,
-        [(xr, xc, yx_off + xranks, xcoefs)],
-    ))
-
-    # dominance: lift of decision moments minus the summed set moments
+    decision_block = _block_from_terms(basis_size(n, order), "decision_moment",
+                                       yx_slice.stop, [(xr, xc, yx_off + xranks, xcoefs)])
     x_rank, q_fac = lift_factors(n, prob.dist, 2 * order, basis)
-    groups = [(mom_rows, mom_cols, yx_off + x_rank[mom_ranks], mom_coefs * q_fac[mom_ranks])]
-    for k in range(num_sets):
-        off = k * s_joint
-        groups.append((mom_rows, mom_cols, off + mom_ranks, -mom_coefs))
-    blocks.append(_block_from_terms(dim_joint, "dominance", num_scalars, groups))
-
-    objective = np.zeros(num_scalars)
-    for k in range(num_sets):
-        objective[k * s_joint] -= 1.0
+    program = _assemble("chance", scaled, sets, order, basis, yx_slice=yx_slice,
+                        decision_block=decision_block, lift=(yx_off + x_rank, q_fac))
     if omega_r:
         for rank, w in trace_functional(n, order, basis).items():
-            objective[yx_off + rank] += omega_r * w
-
-    simple = SimpleSet(
-        lower=np.full(num_scalars, -1.0),
-        upper=np.full(num_scalars, 1.0),
-        pinned_idx=np.array([yx_off], dtype=int),
-        pinned_val=np.array([1.0]),
-    )
-    meta = ProgramMeta(
-        kind="chance", name=prob.name, order=order, basis=basis, scaled=scaled,
-        set_slices=set_slices, yx_slice=slice(yx_off, yx_off + s_dec), omega_r=omega_r,
-    )
-    return ConicProgram(objective=objective, blocks=blocks, simple_set=simple,
-                        meta={"info": meta})
+            program.objective[yx_off + rank] += omega_r * w
+    return program
 
 
 def substitute_decision(p: Polynomial, n: int, x: Sequence[float]) -> Polynomial:
@@ -369,108 +416,30 @@ def build_refinement_sdp(problem, x_scaled: Sequence[float], order: int,
         raise ValueError("mode 'single' needs weight_index")
     scaled = _as_scaled(problem)
     prob = scaled.problem
-    n, m = prob.n, prob.m
+    n = prob.n
     x_scaled = np.asarray(x_scaled, dtype=float)
     if x_scaled.shape != (n,):
         raise DimensionError(f"decision point has shape {x_scaled.shape}, expected ({n},)")
     if np.any(np.abs(x_scaled) > 1.0 + 1e-9):
         raise ModelError("decision point lies outside the scaled box [-1,1]^n")
-
-    sub_sets = []       # ball certificate first, then the user's polynomials
-    weights = []
-    for k, s in enumerate(prob.sets):
-        with_ball = add_ball_certificate(s, n, m)
-        subbed = tuple(substitute_decision(p, n, x_scaled) for p in with_ball)
-        sub_sets.append(subbed)
-        if mode == "product":
-            w = Polynomial.constant(m, 1.0)
-            for p in subbed[1:]:
-                w = w * p
-        elif mode == "single":
-            user_polys = subbed[1:]
-            if not 0 <= weight_index < len(user_polys):
+    if mode == "single":
+        for k, s in enumerate(prob.sets):
+            if not 0 <= weight_index < len(s):
                 raise ValueError(
                     f"weight_index {weight_index} out of range for set {k} "
-                    f"with {len(user_polys)} polynomials"
+                    f"with {len(s)} polynomials"
                 )
-            w = user_polys[weight_index]
-        else:
-            w = None
-        weights.append(w)
+    sets = _localized_sets(prob, order, x_scaled)
 
-    if order < 1:
-        raise OrderError("refinement order must be at least 1")
-    for k, subbed in enumerate(sub_sets):
-        for j, p in enumerate(subbed):
-            if _localizer_order(p) > order:
-                raise OrderError(
-                    f"set {k} polynomial {j} has degree {p.degree} after fixing "
-                    f"the decision; needs order >= {_localizer_order(p)}"
-                )
-    if mode != "indicator":
-        for k, w in enumerate(weights):
-            if w.degree > 2 * order:
-                raise OrderError(
-                    f"weight polynomial of set {k} has degree {w.degree} > {2 * order}; "
-                    f"increase the order or use indicator mode"
-                )
-
-    s_q = basis_size(m, 2 * order)
-    num_sets = prob.num_sets
-    num_scalars = num_sets * s_q
-    set_slices = [slice(k * s_q, (k + 1) * s_q) for k in range(num_sets)]
-
-    blocks = []
-    mom_terms = moment_block_terms(m, order, basis)
-    mom_rows, mom_cols, mom_ranks, mom_coefs = mom_terms
-    dim_q = basis_size(m, order)
-    for k in range(num_sets):
-        off = k * s_q
-        blocks.append(_block_from_terms(
-            dim_q, f"moment[{k}]", num_scalars,
-            [(mom_rows, mom_cols, off + mom_ranks, mom_coefs)],
-        ))
-        for j, p in enumerate(sub_sets[k]):
-            if not p.terms:
-                continue    # vanished at the fixed decision: 0 >= 0 is vacuous
-            dloc = order - _localizer_order(p)
-            lr, lc, lranks, lcoefs = localizing_block_terms(p, dloc, basis)
-            blocks.append(_block_from_terms(
-                basis_size(m, dloc), f"localizer[{k},{j}]", num_scalars,
-                [(lr, lc, off + lranks, lcoefs)],
-            ))
-
-    # dominance against the known random-parameter moments
-    y_q = moment_vector(prob.dist, 2 * order, basis)
-    dom_const = terms_matrix(mom_terms, y_q.values, dim_q)
-    groups = [(mom_rows, mom_cols, k * s_q + mom_ranks, -mom_coefs)
-              for k in range(num_sets)]
-    blocks.append(_block_from_terms(dim_q, "dominance", num_scalars, groups,
-                                    constant=-dom_const))
-
-    objective = np.zeros(num_scalars)
-    for k in range(num_sets):
-        if mode == "indicator":
-            objective[k * s_q] -= 1.0
-        else:
-            w = weights[k]
-            coeff_map = (w.terms if basis == MONOMIAL else poly_cheb_coeffs(w))
-            for gamma, coef in coeff_map.items():
-                objective[k * s_q + monomial_rank(gamma)] -= coef
-
-    simple = SimpleSet(
-        lower=np.full(num_scalars, -1.0),
-        upper=np.full(num_scalars, 1.0),
-        pinned_idx=np.array([], dtype=int),
-        pinned_val=np.array([]),
-    )
-    meta = ProgramMeta(
-        kind="refinement", name=prob.name, order=order, basis=basis, scaled=scaled,
-        set_slices=set_slices, mode=mode, weight_index=weight_index,
-        x_scaled=x_scaled.copy(),
-    )
-    return ConicProgram(objective=objective, blocks=blocks, simple_set=simple,
-                        meta={"info": meta})
+    # the weights multiply the user's polynomials, after the ball certificate
+    weights = None
+    if mode == "product":
+        weights = [math.prod(s[1:], start=Polynomial.constant(prob.m, 1.0)) for s in sets]
+    elif mode == "single":
+        weights = [s[1 + weight_index] for s in sets]
+    law = moment_vector(prob.dist, 2 * order, basis).values
+    return _assemble("refinement", scaled, sets, order, basis, weights=weights,
+                     law=law, mode=mode)
 
 
 @dataclass
@@ -481,22 +450,13 @@ class DecodedSolution:
     x_scaled: np.ndarray
     probability: float         # total mass of the set measures
     y_x: np.ndarray            # decision moment vector (program basis)
-    y_sets: list
     residuals: dict            # block label -> max(0, -min eigenvalue)
-    objective: float
-    order: int
-    basis: str
 
 
 @dataclass
 class RefinementDecode:
     mass: float                # summed zeroth moments: the probability estimate
-    objective: float           # the maximized objective value
-    y_sets: list
     residuals: dict
-    mode: str
-    order: int
-    basis: str
 
 
 def _residuals(program: ConicProgram, x: np.ndarray) -> dict:
@@ -509,29 +469,19 @@ def _residuals(program: ConicProgram, x: np.ndarray) -> dict:
 
 def decode(program: ConicProgram, solution: np.ndarray):
     """Interpret a solver point for a program built by this module."""
-    info: ProgramMeta = program.meta["info"]
+    info: ProgramMeta = program.meta
     solution = np.asarray(solution, dtype=float)
     if solution.shape != (program.num_scalars,):
         raise DimensionError(
             f"solution has shape {solution.shape}, expected ({program.num_scalars},)"
         )
-    if info.kind == "chance":
-        prob = info.scaled.problem
-        y_x = solution[info.yx_slice]
-        x_scaled = np.clip(y_x[1: prob.n + 1], -1.0, 1.0)
-        x = info.scaled.decision_map.to_original(x_scaled)
-        y_sets = [solution[s].copy() for s in info.set_slices]
-        probability = float(sum(ys[0] for ys in y_sets))
-        return DecodedSolution(
-            x=x, x_scaled=x_scaled, probability=probability, y_x=y_x.copy(),
-            y_sets=y_sets, residuals=_residuals(program, solution),
-            objective=float(program.objective @ solution),
-            order=info.order, basis=info.basis,
-        )
-    y_sets = [solution[s].copy() for s in info.set_slices]
-    return RefinementDecode(
-        mass=float(sum(ys[0] for ys in y_sets)),
-        objective=float(-(program.objective @ solution)),
-        y_sets=y_sets, residuals=_residuals(program, solution),
-        mode=info.mode, order=info.order, basis=info.basis,
+    mass = float(sum(solution[s.start] for s in info.set_slices))
+    residuals = _residuals(program, solution)
+    if info.kind == "refinement":
+        return RefinementDecode(mass=mass, residuals=residuals)
+    y_x = solution[info.yx_slice]
+    x_scaled = np.clip(y_x[1: info.scaled.problem.n + 1], -1.0, 1.0)
+    return DecodedSolution(
+        x=info.scaled.decision_map.to_original(x_scaled), x_scaled=x_scaled,
+        probability=mass, y_x=y_x.copy(), residuals=residuals,
     )

@@ -39,8 +39,8 @@ class TestBlocks:
         blk = PsdBlock(dim=2, label="b", coeffs=coeffs, constant=c0)
         x = np.array([2.0, -1.0])
         assert np.allclose(blk.value(x), 2 * c1 - c2 - c0)
-        assert np.allclose(blk.coefficient_matrix(0), c1)
-        assert np.allclose(blk.coefficient_matrix(1), c2)
+        assert np.allclose(util.coefficient_matrix(blk, 0), c1)
+        assert np.allclose(util.coefficient_matrix(blk, 1), c2)
 
     def test_cone_distance_feasible_zero(self):
         prog = build_chance_sdp(util.toy_problem(), 2)
@@ -150,7 +150,7 @@ class TestExport:
         # spot-check each block's coefficients and constants entrywise
         for bi, blk in enumerate(prog.blocks):
             for s in range(prog.num_scalars):
-                mat = blk.coefficient_matrix(s)
+                mat = util.coefficient_matrix(blk, s)
                 for i in range(blk.dim):
                     for j in range(i, blk.dim):
                         got = coeffs.get((bi, i, j, s), 0.0)

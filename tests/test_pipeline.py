@@ -168,7 +168,8 @@ class TestCli:
         ("--nu0", "0"), ("--beta-growth", "1"), ("--tol", "0"),
         ("--max-outer", "0"), ("--max-inner-cap", "0"), ("--seed", "-1"),
         ("--samples", "0"), ("--grid", "0"), ("--order", "-1"),
-        ("--omega-r", "-1"),
+        ("--omega-r", "-1"), ("--tol", "inf"), ("--nu0", "nan"),
+        ("--omega-r", "nan"), ("--beta-growth", "nan"),
     ])
     def test_invalid_flag_exit_two(self, flag, value, tmp_path, capsys):
         assert main(["solve", "example1_pair", flag, value,

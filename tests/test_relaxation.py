@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import util
+from chanceopt import problems
 from chanceopt.alcc import SolverParams, alcc_solve
 from chanceopt.errors import ModelError, OrderError
 from chanceopt.measures import Beta, DistributionSpec, Uniform
@@ -155,7 +156,7 @@ class TestBuildChanceSdp:
 
     def test_pinned_mass(self):
         prog = build_chance_sdp(util.toy_problem(), 2)
-        info = prog.meta["info"]
+        info = prog.meta
         assert list(prog.simple_set.pinned_idx) == [info.yx_slice.start]
         assert list(prog.simple_set.pinned_val) == [1.0]
         assert np.all(prog.simple_set.lower == -1.0)
@@ -170,7 +171,7 @@ class TestBuildChanceSdp:
 
     def test_objective_sign_and_trace(self):
         prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.25)
-        info = prog.meta["info"]
+        info = prog.meta
         c = prog.objective
         assert c[info.set_slices[0].start] == -1.0
         yx = info.yx_slice.start
@@ -199,7 +200,7 @@ class TestBuildChanceSdp:
         hi = build_chance_sdp(util.toy_problem(), 3)
         lo = build_chance_sdp(util.toy_problem(), 2)
         vec_hi = util.toy_feasible_point(hi, 0.4)
-        info_hi, info_lo = hi.meta["info"], lo.meta["info"]
+        info_hi, info_lo = hi.meta, lo.meta
         vec_lo = np.zeros(lo.num_scalars)
         n_joint = basis_size(2, 4)
         n_dec = basis_size(1, 4)
@@ -236,7 +237,7 @@ class TestBuildChanceSdp:
         assert labels.count("dominance") == 1
         assert "moment[0]" in labels and "moment[1]" in labels
         # objective credits the mass of each set once
-        info = prog.meta["info"]
+        info = prog.meta
         for sl in info.set_slices:
             assert prog.objective[sl.start] == -1.0
 
@@ -246,7 +247,7 @@ class TestDecode:
         # plugging the published order-2 solution vector into decode returns
         # the published probability and decision
         prog = build_chance_sdp(util.toy_problem(), 2)
-        info = prog.meta["info"]
+        info = prog.meta
         vec = np.zeros(prog.num_scalars)
         y_star = [0.66, 0.3, 0.14, 0.16, 0.07, 0.1, 0.08, 0.03, 0.05, 0.04,
                   0.04, 0.02, 0.02, 0.02, 0.02]
@@ -259,7 +260,7 @@ class TestDecode:
 
     def test_dirac_decode_exact(self):
         prog = build_chance_sdp(util.toy_problem(), 2)
-        info = prog.meta["info"]
+        info = prog.meta
         vec = np.zeros(prog.num_scalars)
         z = -0.37
         vec[info.yx_slice] = MomentVector.from_dirac([z], 4).values
@@ -274,7 +275,7 @@ class TestDecode:
             decision_box=((2.0, 6.0),),
         )
         prog = build_chance_sdp(prob, 1)
-        info = prog.meta["info"]
+        info = prog.meta
         vec = np.zeros(prog.num_scalars)
         vec[info.yx_slice.start] = 1.0
         vec[info.yx_slice.start + 1] = 0.5       # scaled coordinate
@@ -288,7 +289,7 @@ class TestDecode:
         dec = decode(prog, vec)
         assert all(v <= 1e-9 for v in dec.residuals.values())
         bad = vec.copy()
-        bad[prog.meta["info"].set_slices[0].start + 1] = 0.9
+        bad[prog.meta.set_slices[0].start + 1] = 0.9
         dec_bad = decode(prog, bad)
         assert max(dec_bad.residuals.values()) > 1e-3
 
@@ -337,10 +338,43 @@ class TestRefinement:
         prob = util.toy_problem()
         for mode, idx in (("product", None), ("single", 0)):
             prog = build_refinement_sdp(prob, [0.5], 2, mode=mode, weight_index=idx)
-            info = prog.meta["info"]
+            info = prog.meta
             assert info.mode == mode
         with pytest.raises(ValueError):
             build_refinement_sdp(prob, [0.5], 2, mode="single", weight_index=4)
+
+    def test_modes_share_constraints(self):
+        # the mode only changes the weight on each set's moments
+        prob = problems.CONSTRUCTORS["example1_pair"]()[0]
+        progs = [build_refinement_sdp(prob, [0.3], 2, mode=mode, weight_index=idx)
+                 for mode, idx in (("indicator", None), ("product", None), ("single", 1))]
+        ref = progs[0]
+        for prog in progs[1:]:
+            assert [(b.label, b.dim) for b in prog.blocks] == \
+                [(b.label, b.dim) for b in ref.blocks]
+            for blk, ref_blk in zip(prog.blocks, ref.blocks):
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(blk.coeffs, name),
+                                          getattr(ref_blk.coeffs, name))
+                assert np.array_equal(blk.constant, ref_blk.constant)
+            assert not np.array_equal(prog.objective, ref.objective)
+        assert len({p.objective.tobytes() for p in progs}) == 3
+
+    @pytest.mark.parametrize("order,match", [
+        (0, "ball certificate has degree 2"),
+        # the toy's quartic stays quartic in q at x = 1/2
+        (1, "polynomial 0 has degree 4 after fixing the decision.* is 2"),
+    ])
+    def test_order_too_small_rejected(self, order, match):
+        with pytest.raises(OrderError, match=match):
+            build_refinement_sdp(util.toy_problem(), [0.5], order)
+
+    def test_weight_degree_above_order_rejected(self):
+        # the pair's product weight is quartic, beyond order 1; indicator builds
+        prob = problems.CONSTRUCTORS["example1_pair"]()[0]
+        build_refinement_sdp(prob, [0.3], 1, mode="indicator")
+        with pytest.raises(OrderError, match="weight polynomial of set 0 has degree 4 > 2"):
+            build_refinement_sdp(prob, [0.3], 1, mode="product")
 
     def test_restricted_measure_feasible_and_mass(self):
         # uniform restricted to the feasible interval is a feasible point of
@@ -369,7 +403,7 @@ class TestRefinement:
             decision_box=((-1, 1),),
         )
         prog = build_refinement_sdp(prob, [0.0], 3, mode="indicator")
-        info = prog.meta["info"]
+        info = prog.meta
         assert len(info.set_slices) == 2
         assert sum(1 for b in prog.blocks if b.label == "dominance") == 1
         trace = alcc_solve(prog, _quick_params())

@@ -43,6 +43,11 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return unsvec(block_program(dim).project_dual(svec(mat)), dim)
 
 
+def coefficient_matrix(block: PsdBlock, scalar: int) -> np.ndarray:
+    """Dense C_i of ``block`` for one scalar variable, from its svec column."""
+    return unsvec(np.asarray(block.coeffs[:, scalar].todense()).ravel(), block.dim)
+
+
 def moment_matrix(y: MomentVector, d: int, basis: str = "monomial") -> np.ndarray:
     """Order-d moment matrix at ``y``: the block terms the builder uses."""
     return terms_matrix(moment_block_terms(y.num_vars, d, basis), y.values,
@@ -125,7 +130,7 @@ def toy_feasible_point(program, x_val: float) -> np.ndarray:
     """
     from chanceopt.moments import CHEBYSHEV, MomentVector, chebyshev_transform
 
-    info = program.meta["info"]
+    info = program.meta
     prob = info.scaled.problem
     order = 2 * info.order
     restricted = toy_restricted_moments(x_val, order)
@@ -157,7 +162,7 @@ def dirac_law_point(program, x) -> np.ndarray:
     Joint moments are built by definition, x^alpha * joint_moment(spec,
     beta), independent of the program's lift.
     """
-    info = program.meta["info"]
+    info = program.meta
     assert info.basis == "monomial" and len(info.set_slices) == 1
     prob = info.scaled.problem
     order = 2 * info.order
