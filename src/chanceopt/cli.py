@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import ChanceOptError, ProblemFormatError, ResourceError
 from .moments import BASES
 from .pipeline import baseline_grid, input_hash, run_pipeline
-from .problem_io import parse, parse_refine_mode
+from .problem_io import check_refine_index, parse, parse_refine_mode
 from .problems import BUNDLED, bundled_path
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _locate(problem_arg: str) -> Path:
     raise ProblemFormatError(f"no such file or bundled problem: {problem_arg}")
 
 
-def _apply_flags(options, args):
+def _apply_flags(problem, options, args):
     """``options`` with each given flag's value, validated like a file value."""
     for flag, section, name in FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -121,6 +121,7 @@ def _apply_flags(options, args):
         changes = {name: value}
         if name == "refine_mode":
             mode, index = parse_refine_mode(value, flag)
+            check_refine_index(problem, index, flag)
             changes = {"refine_mode": mode, "refine_index": index}
         try:
             if section is None:
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
 
         path = _locate(args.problem)
         problem, options = parse(path)
-        options = _apply_flags(options, args)
+        options = _apply_flags(problem, options, args)
         out_dir = Path(args.out_dir)
 
         if args.command == "grid":

@@ -15,10 +15,12 @@ random-variable part; the distinct random-variable parts are the K
 monomials the draws are evaluated on.  For a decision ``x`` the table
 folds into a (P, K) coefficient matrix ``C`` (each term contributes
 ``coef * x**alpha`` to its row and monomial).  For a block of draws the K
-monomial rows ``M`` are built once from the transposed draws, and one
-``C @ M`` evaluates all P polynomials; a draw is inside a set when all of
-the set's rows (a contiguous range) are ``>= 0``, and inside the union
-when it is inside any set.
+monomial rows ``M`` are built once, reading each coordinate's draws in
+place (``sample`` lays them out coordinate-major, so each is contiguous),
+and one ``C @ M`` evaluates all P polynomials; a draw is inside a set when
+all of the set's rows (a contiguous range) are ``>= 0``, and inside the
+union when it is inside any set.  The estimate is the count of draws inside
+over the number of draws.
 """
 
 from __future__ import annotations
@@ -81,10 +83,8 @@ class UnionEvaluator:
         self._slots = np.array(
             [row * len(monomials) + column[alpha[n:]] for row, alpha, _ in terms],
             dtype=np.intp)
-        # each monomial as its (coordinate, power) factors; () is the constant
-        self._factors = [tuple((j, e) for j, e in enumerate(beta) if e)
-                         for beta in monomials]
-        self._draws = np.empty((problem.m, _BLOCK))
+        self._plan = _monomial_plan(
+            [tuple((j, e) for j, e in enumerate(beta) if e) for beta in monomials])
         self._mono = np.empty((len(monomials), _BLOCK))
         self._values = np.empty((len(polys), _BLOCK))
         self._nonneg = np.empty((len(polys), _BLOCK), dtype=bool)
@@ -97,23 +97,35 @@ class UnionEvaluator:
                            minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
 
     def membership(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Boolean array: which rows of ``draws`` lie in the union at ``x``."""
+        """Boolean array: which rows of ``draws`` lie in the union at ``x``.
+
+        ``draws`` is read in blocks of columns of ``draws.T``, without a
+        copy; the transposed view that :func:`~chanceopt.measures.sample`
+        returns makes each coordinate's block contiguous.
+        """
         coef = self.coefficients(x)
         member = np.empty(draws.shape[0], dtype=bool)
         for start in range(0, draws.shape[0], _BLOCK):
-            block = draws[start:start + _BLOCK].T
-            width = block.shape[1]
-            q = self._draws[:, :width]
+            q = draws[start:start + _BLOCK].T
+            width = q.shape[1]
             mono = self._mono[:, :width]
             nonneg = self._nonneg[:, :width]
             inside = self._inside[:width]
-            np.copyto(q, block)
-            for row, factors in zip(mono, self._factors):
-                if not factors:
+            for row, (source, first, rest) in zip(mono, self._plan):
+                if source is None:          # the constant monomial
                     row.fill(1.0)
                     continue
-                (j, e), *rest = factors
-                np.power(q[j], e, out=row)
+                kind, k, e = source
+                if kind == "pow":
+                    left = np.power(q[k], e, out=row)
+                else:
+                    left = (q if kind == "draw" else mono)[k]
+                if first is None:
+                    if kind == "draw":      # a single unit factor
+                        np.copyto(row, left)
+                    continue
+                j, e = first
+                np.multiply(left, q[j] if e == 1 else q[j] ** e, out=row)
                 for j, e in rest:
                     row *= q[j] if e == 1 else q[j] ** e
             values = np.matmul(coef, mono, out=self._values[:, :width])
@@ -124,6 +136,37 @@ class UnionEvaluator:
                 np.logical_and.reduce(nonneg[lo:hi], axis=0, out=inside)
                 hit |= inside
         return member
+
+
+def _monomial_plan(monomials: list) -> list:
+    """How :meth:`UnionEvaluator.membership` builds each monomial row.
+
+    ``monomials`` lists each monomial as its (coordinate, power) factors in
+    coordinate order, ``()`` for the constant.  A row is the product of its
+    factors taken left to right, the first power as ``np.power`` and later
+    ones as ``q ** e``; every entry keeps that order of rounding.  Entry k
+    is ``(source, first, rest)``: the row starts from ``source``, then is
+    multiplied by the factor ``first`` and each factor of ``rest``.
+    ``source`` is ``None`` for the constant, ``("row", r, 1)`` for an
+    earlier row whose factors lead this one's (the longest such), else the
+    first factor: ``("draw", j, 1)`` for a unit power, which needs no
+    arithmetic, or ``("pow", j, e)``.
+    """
+    built = {}
+    plan = []
+    for k, factors in enumerate(monomials):
+        source = None
+        for cut in range(len(factors) - 1, 0, -1):
+            if factors[:cut] in built:
+                source, factors = ("row", built[factors[:cut]], 1), factors[cut:]
+                break
+        else:
+            if factors:
+                (j, e), factors = factors[0], factors[1:]
+                source = ("draw", j, 1) if e == 1 else ("pow", j, e)
+        plan.append((source, factors[0] if factors else None, factors[1:]))
+        built[monomials[k]] = k
+    return plan
 
 
 def estimate_probability(problem: ChanceProblem, x: Sequence[float],
@@ -137,7 +180,8 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     if x.shape != (problem.n,):
         raise DimensionError(f"decision has shape {x.shape}, expected ({problem.n},)")
     draws = sample(problem.dist, cfg.samples, cfg.seed)
-    est = float(np.mean(UnionEvaluator(problem).membership(x, draws)))
+    member = UnionEvaluator(problem).membership(x, draws)
+    est = float(np.count_nonzero(member) / cfg.samples)
     half = 3.0 * float(np.sqrt(est * (1.0 - est) / cfg.samples))
     return est, half
 
@@ -166,7 +210,7 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
         # up-front allocation for huge grids
         draws = sample(problem.dist, cfg.samples,
                        np.random.SeedSequence([cfg.seed, flat]))
-        est = float(np.mean(evaluator.membership(x, draws)))
+        est = float(np.count_nonzero(evaluator.membership(x, draws)) / cfg.samples)
         if est > best_est or (est == best_est and grevlex_key(idx) < grevlex_key(best_idx)):
             best_est, best_idx, best_x = est, idx, x
     return best_x, best_est

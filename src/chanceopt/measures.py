@@ -199,18 +199,30 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     """Draw ``count`` independent joint samples; deterministic per seed.
 
     ``seed`` may be anything accepted by ``numpy.random.default_rng``.
+    The result has shape ``(count, m)`` but is the transposed view of a
+    C-ordered ``(m, count)`` array: each coordinate's draws are contiguous,
+    which is the layout :class:`chanceopt.mc.UnionEvaluator` reads.
+    Coordinates are drawn one after another from one generator, each in a
+    single call, so the draws equal ``rng.uniform(lo, hi, count)`` and
+    ``rng.beta(a, b, count)`` column by column.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    cols = []
-    for i, dist in enumerate(spec.coords):
+    out = np.empty((spec.m, count))
+    for i, (dist, row) in enumerate(zip(spec.coords, out)):
         if isinstance(dist, Uniform):
-            cols.append(rng.uniform(dist.lo, dist.hi, size=count))
+            # numpy's uniform is lo + (hi - lo) * u, rounded step by step
+            width = dist.hi - dist.lo
+            if not np.isfinite(width):
+                raise OverflowError("high - low range exceeds valid bounds")
+            rng.random(out=row)
+            row *= width
+            row += dist.lo
         elif isinstance(dist, Beta):
-            cols.append(rng.beta(dist.alpha, dist.beta, size=count))
+            row[:] = rng.beta(dist.alpha, dist.beta, size=count)
         else:
             raise ModelError(
                 f"coordinate {i}: cannot sample from an explicit moment list"
             )
-    return np.column_stack(cols)
+    return out.T

@@ -157,6 +157,15 @@ def parse_refine_mode(text: str, path: str = "$.options.refine_mode"):
     )
 
 
+def check_refine_index(problem: ChanceProblem, index: int | None, path: str) -> None:
+    """Reject a ``single:<j>`` index that some set has no polynomial for."""
+    if index is None:
+        return
+    for k, s in enumerate(problem.sets):
+        _expect(index < len(s), f"single index {index} out of range: set {k} "
+                f"has {len(s)} polynomial(s)", path)
+
+
 def _parse_fields(cls, entry, path: str):
     """Build the options dataclass ``cls`` from ``entry``, checking each
     value's JSON type against the field default's (``solver``, ``mc`` recurse)."""
@@ -232,6 +241,7 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
         name=name, n=n, m=m, sets=tuple(parsed_sets),
         dist=DistributionSpec(coords), decision_box=tuple(parsed_box),
     )
+    check_refine_index(problem, options.refine_index, "$.options.refine_mode")
     return problem, options
 
 

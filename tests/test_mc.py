@@ -155,6 +155,27 @@ class TestUnionEvaluator:
             assert 0.0 < member.mean() < 1.0
             assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_draw_layouts_and_shared_prefixes(self, layout):
+        # rows built from an earlier row (q0*q1 -> q0*q1*q2, q0**3 ->
+        # q0**3*q1), a unit factor before a power (q0*q2**2) and a power
+        # first (q1**2*q2), on row-major and coordinate-major draws
+        x, q0, q1, q2 = (Polynomial.coordinate(4, i) for i in range(4))
+        prob = ChanceProblem(
+            name="prefixes", n=1, m=3,
+            sets=((x * q0 * q1 + q0 * q1 * q2 - 0.1 * q0 * q2**2 + 0.05,
+                   0.9 - q1**2 * q2),
+                  (x * q0**3 - q0**3 * q1 - 0.2,)),
+            dist=DistributionSpec((Uniform(-1, 1), Uniform(-1, 1), Uniform(-0.5, 1))),
+            decision_box=((-1, 1),),
+        )
+        evaluator = UnionEvaluator(prob)
+        draws = np.array(sample(prob.dist, 10_000, 4), order=layout)
+        for x_val in (-1.0, 0.2, 1.0):
+            member = evaluator.membership(np.array([x_val]), draws)
+            assert 0.0 < member.mean() < 1.0
+            assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
+
     def test_folded_cancellation_counts_inside(self):
         # x*q + q at x = -1: the folded coefficient of q is exactly zero
         x = Polynomial.coordinate(2, 0)
@@ -197,6 +218,13 @@ class TestGridSearch:
         x_ref, p_ref = util.reference_grid_search(prob, cfg)
         assert p == p_ref
         assert np.array_equal(x, x_ref)
+
+    def test_control_benchmark_grid_pinned(self):
+        # the control-grid benchmark's grid at seed 0, exact to the last bit
+        prob, _ = load_bundled("example4_control")
+        x, p = grid_search(prob, McConfig(samples=20_000, grid_points=11, seed=0))
+        assert list(x) == [-1.0, 0.40000000000000013, -1.0]
+        assert p == 0.83905 and type(p) is float
 
     def test_single_point_grid(self):
         prob = util.toy_problem()

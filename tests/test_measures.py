@@ -20,7 +20,8 @@ from chanceopt.measures import (
 )
 from chanceopt.moments import MomentVector, cheb_mono_coeffs
 from chanceopt.poly import basis_size, exponents
-from util import moment_matrix
+from chanceopt.problems import BUNDLED, load_bundled
+from util import moment_matrix, reference_sample
 
 ROOT2 = 2.0**0.5
 
@@ -214,6 +215,25 @@ class TestSampling:
         assert draws.shape == (2000, 2)
         assert np.all(draws[:, 0] >= -0.25) and np.all(draws[:, 0] <= 0.5)
         assert np.all(draws[:, 1] >= 0.0) and np.all(draws[:, 1] <= 1.0)
+
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(load_bundled(name)[0].dist, id=name) for name in BUNDLED),
+        pytest.param(DistributionSpec((Beta(0.5, 0.5), Uniform(-0.3, 1.7), Beta(3, 1.5),
+                                       Uniform(0.0, 1e-3))), id="mixed"),
+    ])
+    def test_matches_reference_sample(self, spec):
+        for count in (1, 4095, 4096, 4097, 20_000):
+            for seed in (3, np.random.SeedSequence([5, count])):
+                draws = sample(spec, count, seed)
+                assert draws.shape == (count, spec.m)
+                assert draws.T.flags.c_contiguous  # coordinate-major storage
+                assert np.array_equal(draws, reference_sample(spec, count, seed))
+
+    def test_uniform_range_overflow(self):
+        spec = DistributionSpec((Uniform(-1e308, 1e308),))
+        for draw in (sample, reference_sample):
+            with pytest.raises(OverflowError):
+                draw(spec, 10, 0)
 
     def test_explicit_moments_cannot_sample(self):
         spec = DistributionSpec((ExplicitMoments((1.0, 0.0, 0.3)),))

@@ -177,6 +177,32 @@ class TestCli:
         assert f"input error: {flag}:" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_refine_single_index_out_of_range_exit_two(self, tmp_path, capsys):
+        # rejected before the solve, so nothing is written
+        assert main(["refine", "example1_pair", "--order", "1",
+                     "--refine-mode", "single:5", "--out-dir", str(tmp_path)]) == 2
+        assert ("input error: --refine-mode: single index 5 out of range: set 0 "
+                "has 2 polynomial(s)") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_refine_single_index_in_file_out_of_range_exit_two(self, tmp_path, capsys):
+        from chanceopt.problems import bundled_path
+        doc = json.loads(bundled_path("example1_pair").read_text())
+        doc["options"]["refine_mode"] = "single:5"
+        bad = tmp_path / "pair.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["refine", str(bad), "--order", "1", "--out-dir", str(out)]) == 2
+        assert ("input error: $.options.refine_mode: single index 5 out of range"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_refine_single_index_in_range_runs(self, tmp_path):
+        assert main(["refine", "example1_pair", "--order", "1",
+                     "--refine-mode", "single:1", "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "example1_pair_d1_report.json").read_text())
+        assert doc["results"][0]["p_refine_weighted"] is not None
+
     def test_missing_file_exit_two(self):
         assert main(["solve", "no_such_problem.json"]) == 2
 

@@ -81,6 +81,8 @@ class TestParse:
 
     def test_options_parsed(self):
         doc = minimal_doc()
+        # a second polynomial, so that single:1 names one in every set
+        doc["sets"][0].append([{"exponents": [0, 2], "coeff": 1.0}])
         doc["options"] = {
             "order": 3,
             "omega_r": 0.1,

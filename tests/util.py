@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, triu_info, unsvec
-from chanceopt.measures import DistributionSpec, Uniform, joint_moment, sample
+from chanceopt.measures import Beta, DistributionSpec, Uniform, joint_moment
 from chanceopt.moments import (
     MomentVector,
     basis_values,
@@ -178,6 +178,21 @@ def dirac_law_point(program, x) -> np.ndarray:
     return vec
 
 
+def reference_sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
+    """Sampling oracle: one ``rng.uniform``/``rng.beta`` call per coordinate,
+    in coordinate order, stacked as the columns of a row-major (count, m)
+    array."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for dist in spec.coords:
+        if isinstance(dist, Uniform):
+            cols.append(rng.uniform(dist.lo, dist.hi, size=count))
+        else:
+            assert isinstance(dist, Beta)
+            cols.append(rng.beta(dist.alpha, dist.beta, size=count))
+    return np.column_stack(cols)
+
+
 def reference_membership(problem: ChanceProblem, x, draws) -> np.ndarray:
     """Union membership by evaluating every polynomial term by term.
 
@@ -200,7 +215,8 @@ def reference_membership(problem: ChanceProblem, x, draws) -> np.ndarray:
 
 
 def reference_grid_search(problem: ChanceProblem, cfg) -> tuple:
-    """Grid baseline as a plain loop over :func:`reference_membership`.
+    """Grid baseline as a plain loop over :func:`reference_sample` and
+    :func:`reference_membership`.
 
     Same grid, per-point seeds and grevlex tie-break as
     ``chanceopt.mc.grid_search``.
@@ -209,7 +225,8 @@ def reference_grid_search(problem: ChanceProblem, cfg) -> tuple:
     best = None
     for flat, idx in enumerate(product(range(cfg.grid_points), repeat=problem.n)):
         x = np.array([axes[i][idx[i]] for i in range(problem.n)])
-        draws = sample(problem.dist, cfg.samples, np.random.SeedSequence([cfg.seed, flat]))
+        draws = reference_sample(problem.dist, cfg.samples,
+                                 np.random.SeedSequence([cfg.seed, flat]))
         est = float(np.mean(reference_membership(problem, x, draws)))
         if best is None or est > best[0] or (
                 est == best[0] and grevlex_key(idx) < grevlex_key(best[1])):
