@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -176,6 +177,8 @@ def main(argv=None) -> int:
                 verify_at = [float(v) for v in args.at.split(",")]
             except ValueError:
                 raise ProblemFormatError(f"bad decision vector {args.at!r}", "--at")
+            if not all(map(math.isfinite, verify_at)):
+                raise ProblemFormatError(f"non-finite decision vector {args.at!r}", "--at")
 
         report = run_pipeline(problem, options, args.command, orders=orders,
                               verify_at=verify_at, source_hash=input_hash(path))

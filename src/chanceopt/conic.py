@@ -11,13 +11,16 @@ preserves inner products.  With that convention the adjoint of the stacked
 constraint operator is the plain transpose of its matrix, so operator
 norms computed on the matrix are the true operator norms.
 
-The solver applies the operator, its adjoint and the blockwise PSD
-projection once per inner iteration, so their set-up is paid once per
-program: the stacked matrix and its transpose (kept as CSR) are built on
-first use, and so is the projection plan, which groups blocks by
-dimension and holds the index maps between the stacked svec vector and
-the batched dense matrices.  A 1x1 block's cone is the half-line, so its
-projection is a clip at zero with no eigendecomposition.
+Coefficients are ``SparseMatrix`` triplets in row-major order.  The solver
+applies the operator, its adjoint and the blockwise PSD projection once
+per inner iteration, so their set-up is paid once per program: the
+stacked matrix is built on first use, and so is the projection plan,
+which groups blocks by dimension and holds the index maps between the
+stacked svec vector and the batched dense matrices.  Both keep work
+buffers that every call reuses, so the loop allocates little beyond its
+results; this is also why a program is not reentrant.  A 1x1 block's
+cone is the half-line, so its projection is a clip at zero with no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 
@@ -46,6 +48,66 @@ def triu_info(dim: int):
     cols.setflags(write=False)
     scale.setflags(write=False)
     return rows, cols, scale
+
+
+class SparseMatrix:
+    """A sparse matrix as triplets sorted by row, then column.
+
+    Each position appears once; explicit zeros, signed ones included, are
+    kept.  Both products add the entry products in entry order, which is
+    the order of a compressed-row (CSR) row loop, and both write them into
+    one work buffer the matrix keeps, so a matrix is not reentrant.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self.shape = shape
+        self._buf = np.empty(len(data))
+
+    @classmethod
+    def from_triplets(cls, rows, cols, data, shape) -> "SparseMatrix":
+        """The matrix of ``(rows, cols, data)`` triplets in any order.
+
+        Values given for one position are summed in input order, starting
+        from the first of them (not from 0.0, which would turn a lone -0.0
+        into 0.0), as ``scipy.sparse.coo_matrix(...).tocsr()`` sums them.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        if len(rows) and (min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0]
+                          or cols.max() >= shape[1]):
+            raise ValueError(f"triplet index outside the shape {shape}")
+        order = np.lexsort((cols, rows))     # stable: equal positions keep input order
+        rows, cols, data = rows[order], cols[order], data[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        summed = data[first]
+        repeat = ~first
+        np.add.at(summed, np.cumsum(first)[repeat] - 1, data[repeat])
+        return cls(rows[first], cols[first], summed, (int(shape[0]), int(shape[1])))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._product(x, self.shape[1], self.cols, self.rows, self.shape[0])
+
+    def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        """The transpose product A^T z."""
+        return self._product(z, self.shape[0], self.rows, self.cols, self.shape[1])
+
+    def _product(self, vec: np.ndarray, length: int, take: np.ndarray, put: np.ndarray,
+                 size: int) -> np.ndarray:
+        if vec.shape != (length,):
+            raise ValueError(f"vector of shape {vec.shape} for a {self.shape} product")
+        buf = np.take(vec, take, out=self._buf, mode="clip")  # "raise" copies `out`
+        buf *= self.data
+        return np.bincount(put, weights=buf, minlength=size)
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
@@ -68,7 +130,7 @@ class PsdBlock:
 
     dim: int
     label: str
-    coeffs: sp.csr_matrix     # (tri_size, num_scalars), svec rows
+    coeffs: SparseMatrix      # (tri_size, num_scalars), svec rows
     constant: np.ndarray      # C_0, dense symmetric (dim, dim)
 
     @property
@@ -103,29 +165,40 @@ class SimpleSet:
         return float(np.sqrt(np.sum(widths**2)))
 
 
-class _ProjGroup(NamedTuple):
-    """Index maps for projecting all blocks of one dimension at once."""
+class _ProjPlan(NamedTuple):
+    """Index maps and work buffers for projecting every block in one pass.
 
-    dim: int
-    idx: np.ndarray          # (n*tri,): stacked positions of the members' svec entries
-    gather: np.ndarray       # (n, dim, dim): stacked position of entry (i, j)
-    entry_scale: np.ndarray  # (dim, dim): svec scale of entry (i, j)
-    triu: np.ndarray         # (n*tri,): positions of those entries in the flat batch
-    scale: np.ndarray        # (n*tri,): their svec scale
+    The batch holds each block as a dense matrix, blocks of one dimension
+    next to each other and the dimensions in increasing order.
+    """
+
+    gather: np.ndarray   # (batch,): stacked svec position of each batch entry
+    divisor: np.ndarray  # (batch,): svec scale of that entry
+    groups: list         # (dim, batch view, reconstruction view) per dimension
+    batch: np.ndarray    # gathered matrices, then the scaled eigenvectors
+    recon: np.ndarray    # projected matrices
+    source: np.ndarray   # (stacked,): reconstruction position of each svec entry
+    scale: np.ndarray    # (stacked,): its svec scale
 
 
 @dataclass
 class ConicProgram:
+    """A conic program with its stacked operator and projection plan.
+
+    Not reentrant: ``apply``, ``adjoint`` and ``project_dual`` write into
+    work buffers the program keeps, so one program serves one caller at a
+    time.
+    """
+
     objective: np.ndarray
     blocks: list
     simple_set: SimpleSet
     meta: Optional[ProgramMeta] = None   # set by the relaxation builders
 
-    _stacked: Optional[sp.csr_matrix] = field(default=None, repr=False)
-    _stacked_t: Optional[sp.csr_matrix] = field(default=None, repr=False)
+    _stacked: Optional[SparseMatrix] = field(default=None, repr=False)
     _stacked_const: Optional[np.ndarray] = field(default=None, repr=False)
     _slices: Optional[list] = field(default=None, repr=False)
-    _proj_plan: Optional[list] = field(default=None, repr=False)
+    _proj_plan: Optional[_ProjPlan] = field(default=None, repr=False)
 
     @property
     def num_scalars(self) -> int:
@@ -135,17 +208,18 @@ class ConicProgram:
 
     def _ensure_stacked(self):
         if self._stacked is None:
-            self._stacked = sp.vstack([b.coeffs for b in self.blocks], format="csr")
-            self._stacked_t = self._stacked.T.tocsr()
+            offsets = np.cumsum([0] + [b.tri_size for b in self.blocks])
+            self._stacked = SparseMatrix(
+                np.concatenate([b.coeffs.rows + off for b, off in zip(self.blocks, offsets)]),
+                np.concatenate([b.coeffs.cols for b in self.blocks]),
+                np.concatenate([b.coeffs.data for b in self.blocks]),
+                (int(offsets[-1]), self.num_scalars),
+            )
             self._stacked_const = np.concatenate([svec(b.constant) for b in self.blocks])
-            slices, off = [], 0
-            for b in self.blocks:
-                slices.append(slice(off, off + b.tri_size))
-                off += b.tri_size
-            self._slices = slices
+            self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
     @property
-    def operator(self) -> sp.csr_matrix:
+    def operator(self) -> SparseMatrix:
         """The stacked linear map x -> svec of all block left-hand sides."""
         self._ensure_stacked()
         return self._stacked
@@ -165,9 +239,8 @@ class ConicProgram:
         return self.operator @ x
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """The transpose product A^T z, with A^T cached as CSR."""
-        self._ensure_stacked()
-        return self._stacked_t @ z
+        """The transpose product A^T z."""
+        return self.operator.rmatvec(z)
 
     def block_values(self, x: np.ndarray) -> list:
         """Dense block matrices sum_i x_i C_i - C_0 at a point."""
@@ -176,55 +249,70 @@ class ConicProgram:
 
     # -- batched PSD projection over the stacked svec space ------------------
 
-    def _ensure_plan(self):
+    def _ensure_plan(self) -> _ProjPlan:
         if self._proj_plan is not None:
-            return
+            return self._proj_plan
         self._ensure_stacked()
         by_dim: dict[int, list[int]] = {}
         for i, blk in enumerate(self.blocks):
             by_dim.setdefault(blk.dim, []).append(i)
-        plan = []
+        stacked = self._stacked.shape[0]
+        source = np.empty(stacked, dtype=np.intp)
+        scale = np.empty(stacked)
+        gather, spans, off = [], [], 0
         for dim, members in sorted(by_dim.items()):
-            rows, cols, scale = triu_info(dim)
+            rows, cols, svec_scale = triu_info(dim)
             idx = np.array([np.arange(self._slices[i].start, self._slices[i].stop)
                             for i in members])
             tri = np.empty((dim, dim), dtype=np.intp)
             tri[rows, cols] = tri[cols, rows] = np.arange(len(rows))
             n = len(members)
-            plan.append(_ProjGroup(
-                dim=dim, idx=idx.ravel(), gather=idx[:, tri], entry_scale=scale[tri],
-                triu=(np.arange(n)[:, None] * dim * dim + rows * dim + cols).ravel(),
-                scale=np.tile(scale, n),
-            ))
-        self._proj_plan = plan
+            gather.append(idx[:, tri].ravel())
+            source[idx] = off + np.arange(n)[:, None] * dim * dim + rows * dim + cols
+            scale[idx] = svec_scale
+            spans.append((dim, n, off))
+            off += n * dim * dim
+        batch, recon = np.empty(off), np.empty(off)
+        groups = [(dim, batch[o:o + n * dim * dim].reshape(n, dim, dim),
+                   recon[o:o + n * dim * dim].reshape(n, dim, dim))
+                  for dim, n, o in spans]
+        gather = np.concatenate(gather)
+        self._proj_plan = _ProjPlan(gather, scale[gather], groups, batch, recon, source, scale)
+        return self._proj_plan
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
 
         The PSD cone is self-dual, so this is both the primal and the dual
-        projection.  The plan is built once per program: blocks of equal
-        dimension are gathered straight from ``s`` into one batch of dense
-        symmetric matrices and share one batched eigendecomposition, whose
-        clipped reconstruction is written back through the upper-triangle
-        index.  1x1 blocks are clipped at zero without an eigendecomposition.
+        projection.  The plan is built once per program: one gather turns
+        ``s`` into a batch of dense symmetric matrices, blocks of equal
+        dimension share one batched eigendecomposition, their clipped
+        reconstructions land in a second batch, and one gather through the
+        upper-triangle index reads the result back.  1x1 blocks are
+        clipped at zero without an eigendecomposition.  Only the returned
+        vector is newly allocated.
         """
-        self._ensure_plan()
-        out = np.empty_like(s)
-        for g in self._proj_plan:
-            if g.dim == 1:
-                out[g.idx] = np.maximum(s[g.idx], 0.0)
+        plan = self._ensure_plan()
+        if s.shape != plan.source.shape:
+            raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
+        batch = np.take(s, plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
+        batch /= plan.divisor
+        for dim, mats, recon in plan.groups:
+            if dim == 1:
+                np.maximum(mats, 0.0, out=recon)
                 continue
-            mats = s[g.gather] / g.entry_scale
             try:
                 vals, vecs = np.linalg.eigh(mats)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
                     f"eigendecomposition failed on {len(mats)} blocks of dim "
-                    f"{g.dim} (finite={np.all(np.isfinite(mats))})"
+                    f"{dim} (finite={np.all(np.isfinite(mats))})"
                 ) from exc
             np.maximum(vals, 0.0, out=vals)
-            proj = (vecs * vals[:, None, :]) @ vecs.transpose(0, 2, 1)
-            out[g.idx] = proj.reshape(-1)[g.triu] * g.scale
+            np.multiply(vecs, vals[:, None, :], out=mats)
+            np.matmul(mats, vecs.transpose(0, 2, 1), out=recon)
+        out = plan.recon.take(plan.source)
+        out *= plan.scale
         return out
 
     def cone_distance(self, x: np.ndarray) -> float:
@@ -266,8 +354,8 @@ class ConicProgram:
         for bi, blk in enumerate(self.blocks):
             lines.append(f"block {bi} {blk.dim} {blk.label}")
             rows, cols, scale = triu_info(blk.dim)
-            coo = blk.coeffs.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
+            coeffs = blk.coeffs
+            for r, c, v in zip(coeffs.rows, coeffs.cols, coeffs.data):
                 lines.append(
                     f"coeff {bi} {rows[r]} {cols[r]} {c} {float(v / scale[r])!r}"
                 )

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .conic import ConicProgram, PsdBlock, SimpleSet
+from .conic import ConicProgram, PsdBlock, SimpleSet, SparseMatrix
 from .errors import DimensionError, ModelError, OrderError
 from .measures import DistributionSpec, Uniform, lift_factors, moment_vector
 from .moments import (
@@ -250,10 +249,10 @@ def _block_from_terms(dim: int, label: str, num_scalars: int, groups,
         parts_c.append(scalars)
         parts_v.append(vals * scale)
     tri = dim * (dim + 1) // 2
-    coeffs = sp.coo_matrix(
-        (np.concatenate(parts_v), (np.concatenate(parts_r), np.concatenate(parts_c))),
-        shape=(tri, num_scalars),
-    ).tocsr()
+    coeffs = SparseMatrix.from_triplets(
+        np.concatenate(parts_r), np.concatenate(parts_c), np.concatenate(parts_v),
+        (tri, num_scalars),
+    )
     if constant is None:
         constant = np.zeros((dim, dim))
     return PsdBlock(dim=dim, label=label, coeffs=coeffs, constant=constant)

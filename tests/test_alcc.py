@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import util
 from chanceopt.alcc import (
@@ -26,7 +25,7 @@ def scalar_block_program(coeffs, consts, c, lower=-1.0, upper=1.0, pins=()):
     num = len(c)
     blocks = []
     for i, (row, b0) in enumerate(zip(coeffs, consts)):
-        mat = sp.csr_matrix(np.asarray(row, dtype=float).reshape(1, num))
+        mat = util.to_sparse(np.asarray(row, dtype=float).reshape(1, num))
         blocks.append(PsdBlock(dim=1, label=f"row[{i}]", coeffs=mat,
                                constant=np.array([[float(b0)]])))
     num_pins = len(pins)
@@ -117,7 +116,7 @@ class TestOperatorNorm:
         for _ in range(5):
             prog, _, _ = util.planted_program(rng)
             sigma = operator_norm(prog, tol=1e-6).sigma
-            dense = prog.operator.toarray()
+            dense = util.to_dense(prog.operator)
             expect = np.linalg.svd(dense, compute_uv=False)[0]
             assert sigma == pytest.approx(expect, rel=1e-3)
 
@@ -216,8 +215,8 @@ class TestAlccSolve:
         coeffs_x1 = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         blocks = [PsdBlock(
             dim=2, label="diag",
-            coeffs=sp.csr_matrix(np.stack([svec(np.array([[-1.0, 0], [0, 1.0]])),
-                                           svec(np.zeros((2, 2)))], axis=1)),
+            coeffs=util.to_sparse(np.stack([svec(np.array([[-1.0, 0], [0, 1.0]])),
+                                            svec(np.zeros((2, 2)))], axis=1)),
             constant=np.array([[-1.0, 0.0], [0.0, 0.0]]),
         )]
         simple = SimpleSet(lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import util
 from chanceopt import problems
@@ -35,7 +34,7 @@ class TestBlocks:
         c1 = np.array([[1.0, 0.5], [0.5, 0.0]])
         c2 = np.array([[0.0, 0.0], [0.0, 2.0]])
         c0 = np.array([[0.1, 0.0], [0.0, 0.2]])
-        coeffs = sp.csr_matrix(np.stack([svec(c1), svec(c2)], axis=1))
+        coeffs = util.to_sparse(np.stack([svec(c1), svec(c2)], axis=1))
         blk = PsdBlock(dim=2, label="b", coeffs=coeffs, constant=c0)
         x = np.array([2.0, -1.0])
         assert np.allclose(blk.value(x), 2 * c1 - c2 - c0)
@@ -114,7 +113,7 @@ class TestProjectDual:
         rng = np.random.default_rng(9)
         for _ in range(3):
             z = rng.standard_normal(prog.operator.shape[0])
-            assert np.allclose(prog.adjoint(z), prog.operator.T @ z,
+            assert np.allclose(prog.adjoint(z), util.to_dense(prog.operator).T @ z,
                                rtol=1e-13, atol=1e-13)
 
 

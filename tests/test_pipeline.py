@@ -19,6 +19,15 @@ from chanceopt.problem_io import RunOptions, write_problem
 from chanceopt.relaxation import ChanceProblem
 
 
+def fresh_python(*args, cwd):
+    """Run the interpreter in a new process with the source tree importable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def quick_options(**kw):
     solver = SolverParams(nu0=1.0, tol=1e-3, max_outer=12, max_inner_cap=2000)
     base = dict(order=2, omega_r=0.01, solver=solver,
@@ -232,6 +241,14 @@ class TestCli:
         assert code == 0
         assert "p_mc=0.25" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5,nan"])
+    def test_verify_at_non_finite_exit_two(self, value, tmp_path, capsys):
+        # "--at=VALUE": argparse would read a separate "-inf" as an option
+        assert main(["verify", "example1_toy", f"--at={value}",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "input error: --at: non-finite decision vector" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_verify_at_degenerate_interval_flagged(self, tmp_path, capsys):
         empty = ChanceProblem(
             name="empty", n=1, m=1, sets=((Polynomial.constant(2, -1.0),),),
@@ -252,15 +269,27 @@ class TestCli:
         assert doc["status"] == "complete_with_flags"
 
     def test_python_dash_m_entry_point(self, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "chanceopt", "bundled"],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = fresh_python("-m", "chanceopt", "bundled", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "example4_control" in proc.stdout.split()
+
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        proc = fresh_python("-c", "import sys, chanceopt.cli; print('scipy' in sys.modules)",
+                            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_solve_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import raise ImportError
+        argv = ["solve", "example1_toy", "--max-inner-cap", "2000", "--tol", "1e-3",
+                "--max-outer", "12", "--out-dir", str(tmp_path)]
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from chanceopt import cli\n"
+                f"sys.exit(cli.main({argv!r}))\n")
+        proc = fresh_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "p_sdp=0.66" in proc.stdout
 
     def test_sweep_writes_series(self, toy_file, tmp_path):
         code = main(["sweep", str(toy_file), "--dmin", "2", "--dmax", "2",

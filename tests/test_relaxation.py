@@ -353,9 +353,10 @@ class TestRefinement:
             assert [(b.label, b.dim) for b in prog.blocks] == \
                 [(b.label, b.dim) for b in ref.blocks]
             for blk, ref_blk in zip(prog.blocks, ref.blocks):
-                for name in ("data", "indices", "indptr"):
+                for name in ("rows", "cols", "data"):
                     assert np.array_equal(getattr(blk.coeffs, name),
                                           getattr(ref_blk.coeffs, name))
+                assert blk.coeffs.shape == ref_blk.coeffs.shape
                 assert np.array_equal(blk.constant, ref_blk.constant)
             assert not np.array_equal(prog.objective, ref.objective)
         assert len({p.objective.tobytes() for p in progs}) == 3

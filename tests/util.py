@@ -4,9 +4,16 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
-from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, triu_info, unsvec
+from chanceopt.conic import (
+    ConicProgram,
+    PsdBlock,
+    SimpleSet,
+    SparseMatrix,
+    svec,
+    triu_info,
+    unsvec,
+)
 from chanceopt.measures import Beta, DistributionSpec, Uniform, joint_moment
 from chanceopt.moments import (
     MomentVector,
@@ -19,6 +26,20 @@ from chanceopt.poly import Polynomial, basis_size, exponents, grevlex_key
 from chanceopt.relaxation import ChanceProblem
 
 
+def to_sparse(dense) -> SparseMatrix:
+    """The nonzero entries of a dense 2-D array as a ``SparseMatrix``."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero(dense)
+    return SparseMatrix.from_triplets(rows, cols, dense[rows, cols], dense.shape)
+
+
+def to_dense(mat: SparseMatrix) -> np.ndarray:
+    """The dense 2-D array of a ``SparseMatrix``."""
+    out = np.zeros(mat.shape)
+    out[mat.rows, mat.cols] = mat.data
+    return out
+
+
 def reference_psd_project(mat: np.ndarray) -> np.ndarray:
     """Dense PSD projection oracle: eigendecomposition, then clip at zero."""
     vals, vecs = np.linalg.eigh(mat)
@@ -29,7 +50,7 @@ def reference_psd_project(mat: np.ndarray) -> np.ndarray:
 def block_program(*dims: int) -> ConicProgram:
     """Program with zero blocks of the given dimensions, for projecting."""
     blocks = [PsdBlock(dim=d, label=f"b{i}",
-                       coeffs=sp.csr_matrix((d * (d + 1) // 2, 1)),
+                       coeffs=to_sparse(np.zeros((d * (d + 1) // 2, 1))),
                        constant=np.zeros((d, d)))
               for i, d in enumerate(dims)]
     box = SimpleSet(lower=np.array([-1.0]), upper=np.array([1.0]),
@@ -45,7 +66,7 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 def coefficient_matrix(block: PsdBlock, scalar: int) -> np.ndarray:
     """Dense C_i of ``block`` for one scalar variable, from its svec column."""
-    return unsvec(np.asarray(block.coeffs[:, scalar].todense()).ravel(), block.dim)
+    return unsvec(to_dense(block.coeffs)[:, scalar], block.dim)
 
 
 def moment_matrix(y: MomentVector, d: int, basis: str = "monomial") -> np.ndarray:
@@ -268,7 +289,7 @@ def planted_program(rng, num_scalars=None, block_dims=None):
         z_mat = (q * eig_z) @ q.T
 
         constant = np.einsum("i,ijk->jk", x_star, basis_mats) - s_mat
-        coeffs = sp.csr_matrix(
+        coeffs = to_sparse(
             np.stack([svec(basis_mats[i]) for i in range(num_scalars)], axis=1)
         )
         blocks.append(PsdBlock(dim=dim, label=f"planted[{bi}]",
