@@ -135,6 +135,23 @@ def _apply_flags(problem, options, args):
     return options
 
 
+def _decision_at(value: str, problem) -> list:
+    """The ``--at`` decision: one finite entry per decision, inside the box."""
+    try:
+        x = [float(v) for v in value.split(",")]
+    except ValueError:
+        raise ProblemFormatError(f"bad decision vector {value!r}", "--at")
+    if not all(map(math.isfinite, x)):
+        raise ProblemFormatError(f"non-finite decision vector {value!r}", "--at")
+    if len(x) != problem.n:
+        raise ProblemFormatError(f"{len(x)} entries for {problem.n} decisions", "--at")
+    for i, (v, (lo, hi)) in enumerate(zip(x, problem.decision_box)):
+        if not lo <= v <= hi:
+            raise ProblemFormatError(f"entry {i} = {v} outside the decision box "
+                                     f"[{lo}, {hi}]", "--at")
+    return x
+
+
 def _cmd_bundled(args) -> int:
     if not args.name:
         for name in BUNDLED:
@@ -172,13 +189,8 @@ def main(argv=None) -> int:
             if args.dmin < 1 or args.dmax < args.dmin:
                 raise ProblemFormatError("need 1 <= dmin <= dmax", "--dmin/--dmax")
             orders = (args.dmin, args.dmax)
-        if args.command == "verify" and getattr(args, "at", None):
-            try:
-                verify_at = [float(v) for v in args.at.split(",")]
-            except ValueError:
-                raise ProblemFormatError(f"bad decision vector {args.at!r}", "--at")
-            if not all(map(math.isfinite, verify_at)):
-                raise ProblemFormatError(f"non-finite decision vector {args.at!r}", "--at")
+        if args.command == "verify" and args.at is not None:
+            verify_at = _decision_at(args.at, problem)
 
         report = run_pipeline(problem, options, args.command, orders=orders,
                               verify_at=verify_at, source_hash=input_hash(path))

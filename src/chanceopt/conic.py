@@ -9,7 +9,10 @@ Blocks are stored in symmetric vectorization ("svec") form: the upper
 triangle row-major with off-diagonal entries scaled by sqrt(2), which
 preserves inner products.  With that convention the adjoint of the stacked
 constraint operator is the plain transpose of its matrix, so operator
-norms computed on the matrix are the true operator norms.
+norms computed on the matrix are the true operator norms.  This module
+alone knows the layout: ``triu_info`` caches it per dimension, and
+``PsdBlock.from_terms`` (matrix-entry terms to svec coefficients), the
+projection plan and the export all read it there.
 
 Coefficients are ``SparseMatrix`` triplets in row-major order.  The solver
 applies the operator, its adjoint and the blockwise PSD projection once
@@ -39,15 +42,25 @@ if TYPE_CHECKING:
 _SQRT2 = float(np.sqrt(2.0))
 
 
+class Triangle(NamedTuple):
+    """The svec layout of a dim x dim block: its upper triangle, row-major."""
+
+    rows: np.ndarray      # (tri,): matrix row of each svec entry
+    cols: np.ndarray      # (tri,): its column
+    scale: np.ndarray     # (tri,): 1 on the diagonal, sqrt(2) off it
+    position: np.ndarray  # (dim, dim): svec entry holding (i, j) and (j, i)
+
+
 @lru_cache(maxsize=None)
-def triu_info(dim: int):
-    """Row/col indices of the upper triangle plus the svec scaling vector."""
+def triu_info(dim: int) -> Triangle:
+    """The svec layout of a ``dim`` block, built once per dimension."""
     rows, cols = np.triu_indices(dim)
     scale = np.where(rows == cols, 1.0, _SQRT2)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    scale.setflags(write=False)
-    return rows, cols, scale
+    position = np.empty((dim, dim), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(len(rows))
+    for arr in (rows, cols, scale, position):
+        arr.setflags(write=False)
+    return Triangle(rows, cols, scale, position)
 
 
 class SparseMatrix:
@@ -111,17 +124,13 @@ class SparseMatrix:
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    rows, cols, scale = triu_info(mat.shape[0])
-    return mat[rows, cols] * scale
+    tri = triu_info(mat.shape[0])
+    return mat[tri.rows, tri.cols] * tri.scale
 
 
 def unsvec(vec: np.ndarray, dim: int) -> np.ndarray:
-    rows, cols, scale = triu_info(dim)
-    entries = vec / scale
-    out = np.zeros((dim, dim))
-    out[rows, cols] = entries
-    out[cols, rows] = entries
-    return out
+    tri = triu_info(dim)
+    return vec[tri.position] / tri.scale[tri.position]
 
 
 @dataclass
@@ -136,6 +145,29 @@ class PsdBlock:
     @property
     def tri_size(self) -> int:
         return self.dim * (self.dim + 1) // 2
+
+    @classmethod
+    def from_terms(cls, dim: int, label: str, num_scalars: int, groups,
+                   constant: Optional[np.ndarray] = None) -> "PsdBlock":
+        """The block whose entry (i, j) is the sum of its terms' value * x[scalar].
+
+        ``groups`` holds parallel (rows, cols, scalars, values) arrays of
+        terms at entries with rows <= cols; terms of one entry and scalar
+        add up in order.  This is the one place where entries become svec
+        rows and off-diagonal values take their sqrt(2) scale.
+        """
+        tri = triu_info(dim)
+        svec_rows = [tri.position[rows, cols] for rows, cols, _, _ in groups]
+        coeffs = SparseMatrix.from_triplets(
+            np.concatenate(svec_rows),
+            np.concatenate([scalars for _, _, scalars, _ in groups]),
+            np.concatenate([values * tri.scale[pos]
+                            for (_, _, _, values), pos in zip(groups, svec_rows)]),
+            (len(tri.rows), num_scalars),
+        )
+        if constant is None:
+            constant = np.zeros((dim, dim))
+        return cls(dim=dim, label=label, coeffs=coeffs, constant=constant)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return unsvec(self.coeffs @ x, self.dim) - self.constant
@@ -261,15 +293,13 @@ class ConicProgram:
         scale = np.empty(stacked)
         gather, spans, off = [], [], 0
         for dim, members in sorted(by_dim.items()):
-            rows, cols, svec_scale = triu_info(dim)
+            tri = triu_info(dim)
             idx = np.array([np.arange(self._slices[i].start, self._slices[i].stop)
                             for i in members])
-            tri = np.empty((dim, dim), dtype=np.intp)
-            tri[rows, cols] = tri[cols, rows] = np.arange(len(rows))
             n = len(members)
-            gather.append(idx[:, tri].ravel())
-            source[idx] = off + np.arange(n)[:, None] * dim * dim + rows * dim + cols
-            scale[idx] = svec_scale
+            gather.append(idx[:, tri.position].ravel())
+            source[idx] = off + np.arange(n)[:, None] * dim * dim + tri.rows * dim + tri.cols
+            scale[idx] = tri.scale
             spans.append((dim, n, off))
             off += n * dim * dim
         batch, recon = np.empty(off), np.empty(off)
@@ -353,7 +383,7 @@ class ConicProgram:
             lines.append(f"pin {i} {float(v)!r}")
         for bi, blk in enumerate(self.blocks):
             lines.append(f"block {bi} {blk.dim} {blk.label}")
-            rows, cols, scale = triu_info(blk.dim)
+            rows, cols, scale, _ = triu_info(blk.dim)
             coeffs = blk.coeffs
             for r, c, v in zip(coeffs.rows, coeffs.cols, coeffs.data):
                 lines.append(

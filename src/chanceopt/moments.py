@@ -130,18 +130,6 @@ def riesz(y: MomentVector, p: Polynomial) -> float:
     return float(sum(coef * y.values[monomial_rank(a)] for a, coef in p.terms.items()))
 
 
-@lru_cache(maxsize=None)
-def moment_pair_ranks(n: int, d: int) -> np.ndarray:
-    """(S_{n,d}, S_{n,d}) array: rank of alpha_i + alpha_j."""
-    maxdeg = 2 * d
-    exps = exponent_array(n, d)
-    codes = encode_exponents(exps, maxdeg + 1)
-    pair = codes[:, None] + codes[None, :]
-    ranks = lookup_ranks(pair.ravel(), n, maxdeg).reshape(pair.shape)
-    ranks.setflags(write=False)
-    return ranks
-
-
 # -- Chebyshev tables ---------------------------------------------------------
 
 
@@ -261,17 +249,18 @@ def poly_cheb_coeffs(p: Polynomial) -> dict[Exponent, float]:
 # Each helper returns parallel arrays (rows, cols, ranks, coefs) describing,
 # for entries (rows[t], cols[t]) with rows <= cols of the matrix, a term
 # coefs[t] * y[ranks[t]].  Repeated (row, col, rank) triples accumulate.
-# The SDP builder turns them into block coefficients; ``terms_matrix``
-# evaluates them at a moment vector.
+# ``conic.PsdBlock.from_terms`` turns them into block coefficients;
+# ``terms_matrix`` evaluates them at a moment vector.  In the monomial basis
+# the moment matrix is the localizing matrix of the constant 1; in the
+# Chebyshev basis it keeps the exact product rule, which needs no polynomial
+# products.  A trace is the sum of the terms with rows == cols.
 
 
 def moment_block_terms(n: int, d: int, basis: str = MONOMIAL):
     _check_basis(basis)
-    size = basis_size(n, d)
     if basis == MONOMIAL:
-        iu, ju = np.triu_indices(size)
-        ranks = moment_pair_ranks(n, d)[iu, ju]
-        return iu, ju, ranks, np.ones(len(ranks))
+        return localizing_block_terms(Polynomial.constant(n, 1.0), d, basis)
+    size = basis_size(n, d)
     exps = exponents(n, d)
     rows, cols, ranks, coefs = [], [], [], []
     for i in range(size):
@@ -330,22 +319,4 @@ def terms_matrix(terms, y: np.ndarray, size: int) -> np.ndarray:
     np.add.at(out, (rows, cols), vals)
     off_diag = rows != cols
     np.add.at(out, (cols[off_diag], rows[off_diag]), vals[off_diag])
-    return out
-
-
-def trace_functional(n: int, d: int, basis: str = MONOMIAL) -> dict[int, float]:
-    """Linear form giving the trace of the order-d moment matrix.
-
-    Maps grevlex ranks (within order 2d) to coefficients.
-    """
-    _check_basis(basis)
-    out: dict[int, float] = {}
-    for alpha in exponents(n, d):
-        if basis == MONOMIAL:
-            r = monomial_rank(tuple(2 * e for e in alpha))
-            out[r] = out.get(r, 0.0) + 1.0
-        else:
-            for gamma, w in cheb_product_expansion(alpha, alpha):
-                r = monomial_rank(gamma)
-                out[r] = out.get(r, 0.0) + w
     return out

@@ -13,6 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .alcc import SolverParams
+from .errors import ProblemFormatError
 from .measures import Beta, DistributionSpec, Uniform
 from .poly import Polynomial
 from .problem_io import RunOptions, parse_document, write_problem
@@ -215,7 +216,8 @@ BUNDLED = tuple(CONSTRUCTORS)
 
 def bundled_path(name: str):
     if name not in BUNDLED:
-        raise KeyError(f"no bundled problem {name!r}; available: {', '.join(BUNDLED)}")
+        raise ProblemFormatError(f"no bundled problem {name!r}; "
+                                 f"available: {', '.join(BUNDLED)}")
     return resources.files("chanceopt").joinpath(f"problems/{name}.json")
 
 

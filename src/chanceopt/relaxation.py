@@ -12,8 +12,9 @@ order d, the main builder emits a conic program over
 * a dominance block tying the summed set moments under the lift of the
   decision moments against the known random-parameter moments.
 
-The trace of the decision moment block is added to the objective with a
-small weight to steer the decision measure toward a point mass.
+The trace of the decision moment block, the sum of its diagonal terms, is
+added to the objective with a small weight to steer the decision measure
+toward a point mass.
 
 The refinement builder fixes the decoded decision and re-estimates the
 probability by a volume-style program over random-parameter measures
@@ -31,7 +32,9 @@ moments, the weighted-mass objective (plain mass is weight 1), the box
 with pins and the ``ProgramMeta`` that ``decode`` reads from
 ``program.meta``.  The chance builder adds the decision block, the lift
 of the decision moments into the dominance block and the trace term; the
-refinement builder adds the weights and the known law's moments.
+refinement builder adds the weights and the known law's moments.  Blocks
+are written as moment terms; ``conic.PsdBlock.from_terms`` alone places
+them in the svec layout.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conic import ConicProgram, PsdBlock, SimpleSet, SparseMatrix
+from .conic import ConicProgram, PsdBlock, SimpleSet
 from .errors import DimensionError, ModelError, OrderError
 from .measures import DistributionSpec, Uniform, lift_factors, moment_vector
 from .moments import (
@@ -53,7 +56,6 @@ from .moments import (
     monomial_rank,
     poly_cheb_coeffs,
     terms_matrix,
-    trace_functional,
 )
 from .poly import Polynomial, affine_substitutions, basis_size
 
@@ -229,35 +231,6 @@ class ProgramMeta:
     mode: str = ""
 
 
-def _svec_row_index(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # row-major upper triangle: entries before row i, plus offset in the row
-    return rows * dim - (rows * (rows - 1)) // 2 + (cols - rows)
-
-
-def _block_from_terms(dim: int, label: str, num_scalars: int, groups,
-                      constant: Optional[np.ndarray] = None) -> PsdBlock:
-    """Assemble a PSD block from (rows, cols, scalar_idx, values) groups.
-
-    Values are matrix-entry coefficients for entries with rows <= cols;
-    the svec sqrt(2) scaling is applied here.  Duplicate triples add up.
-    """
-    parts_r, parts_c, parts_v = [], [], []
-    for rows, cols, scalars, vals in groups:
-        sidx = _svec_row_index(dim, rows, cols)
-        scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
-        parts_r.append(sidx)
-        parts_c.append(scalars)
-        parts_v.append(vals * scale)
-    tri = dim * (dim + 1) // 2
-    coeffs = SparseMatrix.from_triplets(
-        np.concatenate(parts_r), np.concatenate(parts_c), np.concatenate(parts_v),
-        (tri, num_scalars),
-    )
-    if constant is None:
-        constant = np.zeros((dim, dim))
-    return PsdBlock(dim=dim, label=label, coeffs=coeffs, constant=constant)
-
-
 def _localized_sets(prob: ChanceProblem, order: int, x_scaled=None) -> list:
     """Each set with the ball certificate first, the decision fixed at
     ``x_scaled`` when given; every localizing block must fit ``order``."""
@@ -311,7 +284,7 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
     dim = basis_size(num_vars, order)
     for k, polys in enumerate(sets):
         off = set_slices[k].start
-        blocks.append(_block_from_terms(
+        blocks.append(PsdBlock.from_terms(
             dim, f"moment[{k}]", num_scalars,
             [(mom_rows, mom_cols, off + mom_ranks, mom_coefs)],
         ))
@@ -320,7 +293,7 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
                 continue    # vanished at the fixed decision: 0 >= 0 is vacuous
             dloc = order - _localizer_order(p)
             lr, lc, lranks, lcoefs = localizing_block_terms(p, dloc, basis)
-            blocks.append(_block_from_terms(
+            blocks.append(PsdBlock.from_terms(
                 basis_size(num_vars, dloc), f"localizer[{k},{j}]", num_scalars,
                 [(lr, lc, off + lranks, lcoefs)],
             ))
@@ -333,8 +306,8 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
         groups.insert(0, (mom_rows, mom_cols, lift_idx[mom_ranks],
                           mom_coefs * lift_fac[mom_ranks]))
     constant = None if law is None else -terms_matrix(mom_terms, law, dim)
-    blocks.append(_block_from_terms(dim, "dominance", num_scalars, groups,
-                                    constant=constant))
+    blocks.append(PsdBlock.from_terms(dim, "dominance", num_scalars, groups,
+                                      constant=constant))
 
     objective = np.zeros(num_scalars)
     for sl, w in zip(set_slices, weights):
@@ -374,14 +347,16 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
     yx_off = prob.num_sets * basis_size(n + prob.m, 2 * order)
     yx_slice = slice(yx_off, yx_off + basis_size(n, 2 * order))
     xr, xc, xranks, xcoefs = moment_block_terms(n, order, basis)
-    decision_block = _block_from_terms(basis_size(n, order), "decision_moment",
-                                       yx_slice.stop, [(xr, xc, yx_off + xranks, xcoefs)])
+    decision_block = PsdBlock.from_terms(basis_size(n, order), "decision_moment",
+                                         yx_slice.stop, [(xr, xc, yx_off + xranks, xcoefs)])
     x_rank, q_fac = lift_factors(n, prob.dist, 2 * order, basis)
     program = _assemble("chance", scaled, sets, order, basis, yx_slice=yx_slice,
                         decision_block=decision_block, lift=(yx_off + x_rank, q_fac))
-    if omega_r:
-        for rank, w in trace_functional(n, order, basis).items():
-            program.objective[yx_off + rank] += omega_r * w
+    # the trace of the decision block: its diagonal terms, summed per moment
+    diag = xr == xc
+    trace = np.zeros(basis_size(n, 2 * order))
+    np.add.at(trace, xranks[diag], xcoefs[diag])
+    program.objective[yx_slice] += omega_r * trace
     return program
 
 
@@ -449,21 +424,11 @@ class DecodedSolution:
     x_scaled: np.ndarray
     probability: float         # total mass of the set measures
     y_x: np.ndarray            # decision moment vector (program basis)
-    residuals: dict            # block label -> max(0, -min eigenvalue)
 
 
 @dataclass
 class RefinementDecode:
     mass: float                # summed zeroth moments: the probability estimate
-    residuals: dict
-
-
-def _residuals(program: ConicProgram, x: np.ndarray) -> dict:
-    out = {}
-    for blk, mat in zip(program.blocks, program.block_values(x)):
-        mn = float(np.linalg.eigvalsh(mat)[0])
-        out[blk.label] = max(0.0, -mn)
-    return out
 
 
 def decode(program: ConicProgram, solution: np.ndarray):
@@ -475,12 +440,11 @@ def decode(program: ConicProgram, solution: np.ndarray):
             f"solution has shape {solution.shape}, expected ({program.num_scalars},)"
         )
     mass = float(sum(solution[s.start] for s in info.set_slices))
-    residuals = _residuals(program, solution)
     if info.kind == "refinement":
-        return RefinementDecode(mass=mass, residuals=residuals)
+        return RefinementDecode(mass=mass)
     y_x = solution[info.yx_slice]
     x_scaled = np.clip(y_x[1: info.scaled.problem.n + 1], -1.0, 1.0)
     return DecodedSolution(
         x=info.scaled.decision_map.to_original(x_scaled), x_scaled=x_scaled,
-        probability=mass, y_x=y_x.copy(), residuals=residuals,
+        probability=mass, y_x=y_x.copy(),
     )

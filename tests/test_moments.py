@@ -17,9 +17,10 @@ from chanceopt.moments import (
     mono_cheb_coeffs,
     poly_cheb_coeffs,
     riesz,
-    trace_functional,
 )
+from chanceopt.measures import DistributionSpec, Uniform
 from chanceopt.poly import Polynomial, basis_size
+from chanceopt.relaxation import ChanceProblem, build_chance_sdp
 from util import localizing_matrix, moment_matrix, reference_measure_matrix
 
 
@@ -299,10 +300,18 @@ class TestChebyshev:
         assert np.allclose(direct, rebuilt, atol=1e-12)
 
     def test_trace_functional_matches_matrix_trace(self):
+        # the chance program's trace term on the decision moments
         rng = np.random.default_rng(16)
+        x0, x1, q = (Polynomial.coordinate(3, i) for i in range(3))
+        prob = ChanceProblem(
+            name="two-dim", n=2, m=1, sets=((1.0 - x0 * x0 - x1 * q,),),
+            dist=DistributionSpec((Uniform(-1.0, 1.0),)),
+            decision_box=((-1.0, 1.0), (-1.0, 1.0)),
+        )
+        omega_r = 0.3
         for basis in ("monomial", "chebyshev"):
+            prog = build_chance_sdp(prob, 2, omega_r=omega_r, basis=basis)
             y = random_vec(rng, 2, 4)
-            form = trace_functional(2, 2, basis)
-            val = sum(w * y.values[r] for r, w in form.items())
+            val = prog.objective[prog.meta.yx_slice] @ y.values
             M = moment_matrix(y, 2, basis)
-            assert val == pytest.approx(np.trace(M), abs=1e-12)
+            assert val == pytest.approx(omega_r * np.trace(M), abs=1e-12)

@@ -241,13 +241,30 @@ class TestCli:
         assert code == 0
         assert "p_mc=0.25" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5,nan"])
+    # toy decision box [-1, 1]; each bad --at value and its message
+    BAD_AT = {
+        "nan": "non-finite decision vector",
+        "inf": "non-finite decision vector",
+        "-inf": "non-finite decision vector",
+        "0.5,nan": "non-finite decision vector",
+        "5": "entry 0 = 5.0 outside the decision box [-1.0, 1.0]",
+        "-1.0001": "entry 0 = -1.0001 outside the decision box [-1.0, 1.0]",
+        "0.5,0.5": "2 entries for 1 decisions",
+        "": "bad decision vector ''",
+    }
+
+    @pytest.mark.parametrize("value", list(BAD_AT))
     def test_verify_at_non_finite_exit_two(self, value, tmp_path, capsys):
         # "--at=VALUE": argparse would read a separate "-inf" as an option
         assert main(["verify", "example1_toy", f"--at={value}",
                      "--out-dir", str(tmp_path)]) == 2
-        assert "input error: --at: non-finite decision vector" in capsys.readouterr().err
+        assert f"input error: --at: {self.BAD_AT[value]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_verify_at_box_endpoint_runs(self, tmp_path, capsys):
+        assert main(["verify", "example1_toy", "--at=-1", "--samples", "1000",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "x=[-1.0000]" in capsys.readouterr().out
 
     def test_verify_at_degenerate_interval_flagged(self, tmp_path, capsys):
         empty = ChanceProblem(
@@ -267,6 +284,13 @@ class TestCli:
         assert res["p_mc"] == 0.0 and res["p_mc_halfwidth"] == 0.0
         assert res["flags"] == ["mc_interval_degenerate"]
         assert doc["status"] == "complete_with_flags"
+
+    def test_unknown_bundled_name_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bundled", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "input error: $: no bundled problem 'nosuch'; available: example1_toy," in err
+        assert not any(tmp_path.iterdir())
 
     def test_python_dash_m_entry_point(self, tmp_path):
         proc = fresh_python("-m", "chanceopt", "bundled", cwd=tmp_path)

@@ -11,7 +11,6 @@ from chanceopt.conic import (
     SimpleSet,
     SparseMatrix,
     svec,
-    triu_info,
     unsvec,
 )
 from chanceopt.measures import Beta, DistributionSpec, Uniform, joint_moment
@@ -275,7 +274,6 @@ def planted_program(rng, num_scalars=None, block_dims=None):
     blocks = []
     c = np.zeros(num_scalars)
     for bi, dim in enumerate(block_dims):
-        rows, cols, scale = triu_info(dim)
         basis_mats = rng.standard_normal((num_scalars, dim, dim))
         basis_mats = (basis_mats + basis_mats.transpose(0, 2, 1)) / 2.0
 
