@@ -1,18 +1,14 @@
-"""Chance optimization over semialgebraic sets via moment SDP relaxations."""
+"""Chance optimization over semialgebraic sets via moment SDP relaxations.
+
+The top level exports the library API: stating a problem, setting its
+options, building, solving, decoding and verifying its relaxations,
+running the whole pipeline, and the error types.  Everything else is
+imported from its submodule.
+"""
 
 __version__ = "0.1.0"
 
-from .alcc import (
-    OperatorNorm,
-    OuterRecord,
-    SolverParams,
-    SolverTrace,
-    alcc_solve,
-    apg_inner,
-    aug_lagrangian_grad,
-    operator_norm,
-)
-from .conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
+from .alcc import SolverParams, alcc_solve
 from .errors import (
     ChanceOptError,
     DimensionError,
@@ -22,46 +18,9 @@ from .errors import (
     ProblemFormatError,
     ResourceError,
 )
-from .mc import McConfig, estimate_probability, grid_search
-from .measures import (
-    Beta,
-    DistributionSpec,
-    ExplicitMoments,
-    Uniform,
-    joint_moment,
-    moment_vector,
-    product_lift,
-    sample,
-    univariate_moment,
-)
-from .moments import (
-    CHEBYSHEV,
-    MONOMIAL,
-    MomentVector,
-    basis_values,
-    chebyshev_transform,
-    riesz,
-    terms_matrix,
-)
-from .poly import (
-    Polynomial,
-    basis_size,
-    grevlex_compare,
-    monomial_rank,
-    monomial_unrank,
-)
+from .mc import McConfig, estimate_probability
+from .measures import Beta, DistributionSpec, ExplicitMoments, Uniform
+from .poly import Polynomial
 from .pipeline import RunReport, run_pipeline
-from .problem_io import RunOptions, emit_document, parse, write_problem
-from .relaxation import (
-    ChanceProblem,
-    DecodedSolution,
-    RefinementDecode,
-    ScaledProblem,
-    add_ball_certificate,
-    build_chance_sdp,
-    build_refinement_sdp,
-    decode,
-    min_relaxation_order,
-    scale_problem,
-    substitute_decision,
-)
+from .problem_io import RunOptions, parse, write_problem
+from .relaxation import ChanceProblem, build_chance_sdp, build_refinement_sdp, decode

@@ -10,6 +10,9 @@ Subcommands::
     chanceopt grid    problem.json [flags]    # grid-search baseline
     chanceopt bundled NAME [--out FILE]       # copy a bundled problem file
 
+``--out`` and ``--out-dir`` create missing parent directories; one that
+cannot be created is an input error, found before any parse or solve.
+
 Flags override the problem file's options and are validated by the same
 dataclasses; ``--seed`` sets both the solver and the Monte Carlo seed.
 Exit codes: 0 success, 2 input error (an invalid flag value included),
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -113,6 +117,20 @@ def _locate(problem_arg: str) -> Path:
     raise ProblemFormatError(f"no such file or bundled problem: {problem_arg}")
 
 
+def _check_output_dir(path: Path, flag: str) -> None:
+    """Reject, before any work, an output directory that cannot be created.
+
+    Its nearest existing ancestor must be a writable directory.  Nothing
+    is created here, so an input error found later leaves no directory.
+    """
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ProblemFormatError(f"cannot create {path}: {existing} is not a directory",
+                                 flag)
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ProblemFormatError(f"cannot create {path}: {existing} is not writable", flag)
+
+
 def _apply_flags(problem, options, args):
     """``options`` with each given flag's value, validated like a file value."""
     for flag, section, name in FLAGS:
@@ -159,7 +177,11 @@ def _cmd_bundled(args) -> int:
         return EXIT_OK
     src = bundled_path(args.name)
     dest = Path(args.out) if args.out else Path(f"{args.name}.json")
-    dest.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    try:
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        dest.write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot write {dest}: {exc.strerror or exc}", "--out")
     print(dest)
     return EXIT_OK
 
@@ -170,10 +192,11 @@ def main(argv=None) -> int:
         if args.command == "bundled":
             return _cmd_bundled(args)
 
+        out_dir = Path(args.out_dir)
+        _check_output_dir(out_dir, "--out-dir")
         path = _locate(args.problem)
         problem, options = parse(path)
         options = _apply_flags(problem, options, args)
-        out_dir = Path(args.out_dir)
 
         if args.command == "grid":
             result = baseline_grid(problem, options.mc)

@@ -128,11 +128,6 @@ def svec(mat: np.ndarray) -> np.ndarray:
     return mat[tri.rows, tri.cols] * tri.scale
 
 
-def unsvec(vec: np.ndarray, dim: int) -> np.ndarray:
-    tri = triu_info(dim)
-    return vec[tri.position] / tri.scale[tri.position]
-
-
 @dataclass
 class PsdBlock:
     """One affine PSD constraint: sum_i x_i C_i - C_0 must be PSD."""
@@ -168,9 +163,6 @@ class PsdBlock:
         if constant is None:
             constant = np.zeros((dim, dim))
         return cls(dim=dim, label=label, coeffs=coeffs, constant=constant)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return unsvec(self.coeffs @ x, self.dim) - self.constant
 
 
 @dataclass
@@ -273,11 +265,6 @@ class ConicProgram:
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """The transpose product A^T z."""
         return self.operator.rmatvec(z)
-
-    def block_values(self, x: np.ndarray) -> list:
-        """Dense block matrices sum_i x_i C_i - C_0 at a point."""
-        w = self.apply(x) - self.constants
-        return [unsvec(w[s], b.dim) for b, s in zip(self.blocks, self.block_slices)]
 
     # -- batched PSD projection over the stacked svec space ------------------
 

@@ -22,9 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, ModelError, OrderError
+from .errors import ModelError, OrderError
 from .moments import MONOMIAL, MomentVector, _check_basis, cheb_mono_coeffs
-from .poly import Exponent, encode_exponents, exponent_array, lookup_ranks
+from .poly import encode_exponents, exponent_array, lookup_ranks
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class Uniform:
         if not self.lo < self.hi:
             raise ModelError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def support(self):
-        return (self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class Beta:
@@ -53,10 +49,6 @@ class Beta:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ModelError("beta shape parameters must be positive")
-
-    @property
-    def support(self):
-        return (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,10 +69,6 @@ class ExplicitMoments:
         if any(abs(v) > 1.0 for v in vals):
             raise ModelError("explicit moments of a measure on [-1,1] must lie in [-1,1]")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def support(self):
-        return (-1.0, 1.0)
 
 
 Distribution = Union[Uniform, Beta, ExplicitMoments]
@@ -131,16 +119,6 @@ def univariate_cheb_moment(dist: Distribution, k: int) -> float:
     return float(sum(c * univariate_moment(dist, j) for j, c in enumerate(coeffs) if c))
 
 
-def joint_moment(spec: DistributionSpec, beta: Exponent) -> float:
-    """Product of per-coordinate moments (coordinates are independent)."""
-    if len(beta) != spec.m:
-        raise DimensionError(f"exponent length {len(beta)} for {spec.m} random coordinates")
-    out = 1.0
-    for dist, k in zip(spec.coords, beta):
-        out *= univariate_moment(dist, int(k))
-    return out
-
-
 def _moment_tables(spec: DistributionSpec, order: int, basis: str) -> np.ndarray:
     """(m, order+1) table of univariate moments in the requested basis."""
     _check_basis(basis)
@@ -182,17 +160,6 @@ def lift_factors(n: int, spec: DistributionSpec, order: int,
     for i in range(spec.m):
         qfac *= tables[i, exps[:, n + i]]
     return _joint_split_ranks(n, spec.m, order), qfac
-
-
-def product_lift(y_x: MomentVector, spec: DistributionSpec, order: int,
-                 basis: str = MONOMIAL) -> MomentVector:
-    """Joint moments of (decision measure) x (random measure) up to ``order``."""
-    if y_x.order < order:
-        raise OrderError(
-            f"decision moments up to {y_x.order} cannot be lifted to order {order}"
-        )
-    x_rank, qfac = lift_factors(y_x.num_vars, spec, order, basis)
-    return MomentVector(y_x.num_vars + spec.m, order, qfac * y_x.values[x_rank])
 
 
 def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:

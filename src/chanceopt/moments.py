@@ -1,4 +1,4 @@
-"""Moment vectors, the Riesz functional, and moment/localizing matrices.
+"""Moment vectors and moment/localizing matrices.
 
 Two bases are supported.  In the monomial basis a moment vector holds
 ``y_alpha = integral of x^alpha``; in the Chebyshev basis it holds
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -68,66 +67,6 @@ class MomentVector:
         if sum(alpha) > self.order:
             raise OrderError(f"exponent {alpha} beyond stored order {self.order}")
         return float(self.values[monomial_rank(alpha)])
-
-    @classmethod
-    def from_dirac(cls, point: Sequence[float], order: int, basis: str = MONOMIAL):
-        """Moments of the unit point mass at ``point``."""
-        point = np.asarray(point, dtype=float)
-        return cls(len(point), order, basis_values(point, order, basis))
-
-    @classmethod
-    def from_samples(cls, points: np.ndarray, weights: Sequence[float], order: int,
-                     basis: str = MONOMIAL):
-        """Moments of the discrete measure sum_k weights[k] * delta(points[k])."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        if len(weights) != points.shape[0]:
-            raise DimensionError("one weight per point required")
-        vals = np.zeros(basis_size(points.shape[1], order))
-        for pt, w in zip(points, weights):
-            vals += w * basis_values(pt, order, basis)
-        return cls(points.shape[1], order, vals)
-
-
-def basis_values(point: np.ndarray, order: int, basis: str = MONOMIAL) -> np.ndarray:
-    """Vector of all basis polynomials of degree <= order evaluated at a point."""
-    _check_basis(basis)
-    point = np.asarray(point, dtype=float)
-    n = len(point)
-    exps = exponent_array(n, order)
-    if basis == MONOMIAL:
-        # univariate power tables, then product across coordinates
-        pows = np.vstack([point[i] ** np.arange(order + 1) for i in range(n)])
-    else:
-        pows = np.vstack([_cheb_values(point[i], order) for i in range(n)])
-    out = np.ones(exps.shape[0])
-    for i in range(n):
-        out *= pows[i, exps[:, i]]
-    return out
-
-
-def _cheb_values(x: float, order: int) -> np.ndarray:
-    vals = np.empty(order + 1)
-    vals[0] = 1.0
-    if order >= 1:
-        vals[1] = x
-    for k in range(2, order + 1):
-        vals[k] = 2.0 * x * vals[k - 1] - vals[k - 2]
-    return vals
-
-
-# -- Riesz functional and matrices in the monomial basis ---------------------
-
-
-def riesz(y: MomentVector, p: Polynomial) -> float:
-    """Apply the moment functional to a polynomial: sum of p_alpha * y_alpha."""
-    if p.num_vars != y.num_vars:
-        raise DimensionError(
-            f"polynomial over {p.num_vars} vars, moments over {y.num_vars}"
-        )
-    if p.degree > y.order:
-        raise OrderError(f"polynomial degree {p.degree} exceeds moment order {y.order}")
-    return float(sum(coef * y.values[monomial_rank(a)] for a, coef in p.terms.items()))
 
 
 # -- Chebyshev tables ---------------------------------------------------------
@@ -185,20 +124,6 @@ def cheb_basis_poly(alpha: Exponent) -> Polynomial:
         })
         out = out * uni
     return out
-
-
-def chebyshev_transform(n: int, d: int) -> np.ndarray:
-    """Change-of-basis matrix: row i holds the monomial coefficients of b_alpha(i).
-
-    Lower triangular with positive diagonal under the grevlex layout, hence
-    invertible.
-    """
-    size = basis_size(n, d)
-    T = np.zeros((size, size))
-    for i, alpha in enumerate(exponents(n, d)):
-        for beta, coef in cheb_basis_poly(alpha).terms.items():
-            T[i, monomial_rank(beta)] = coef
-    return T
 
 
 @lru_cache(maxsize=None)

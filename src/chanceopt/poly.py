@@ -8,8 +8,8 @@ first.  For two variables the layout is 1, x1, x2, x1^2, x1*x2, x2^2, ...
 
 Within a fixed total degree the grevlex rule is equivalent to ordinary
 lexicographic comparison of the *reversed* exponent tuples, which is what
-the sort key below uses; the literal last-nonzero rule is kept in
-``grevlex_compare`` and cross-checked in the test suite.
+the sort key below uses; the test suite keeps the literal last-nonzero
+rule as an independent oracle and checks the key against it.
 """
 
 from __future__ import annotations
@@ -43,23 +43,6 @@ def basis_size(n: int, d: int) -> int:
 def grevlex_key(alpha: Exponent) -> tuple:
     """Sort key realizing the grevlex order."""
     return (sum(alpha), alpha[::-1])
-
-
-def grevlex_compare(a: Exponent, b: Exponent) -> int:
-    """Return -1, 0, or +1 as ``a`` precedes, equals, or follows ``b``.
-
-    ``a`` precedes ``b`` iff ``|a| < |b|``, or the degrees tie and the last
-    nonzero entry of ``a - b`` is negative.
-    """
-    if len(a) != len(b):
-        raise DimensionError(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    for ai, bi in zip(reversed(a), reversed(b)):
-        if ai != bi:
-            return -1 if ai < bi else 1
-    return 0
 
 
 @lru_cache(maxsize=None)
@@ -103,17 +86,6 @@ def monomial_rank(alpha: Exponent) -> int:
     n, t = len(alpha), sum(alpha)
     below = basis_size(n, t - 1) if t > 0 else 0
     return below + _slice_index(n, t)[alpha]
-
-
-def monomial_unrank(n: int, i: int) -> Exponent:
-    """Inverse of :func:`monomial_rank` for ``n`` variables."""
-    if i < 0:
-        raise ValueError("rank must be nonnegative")
-    t = 0
-    while basis_size(n, t) <= i:
-        t += 1
-    below = basis_size(n, t - 1) if t > 0 else 0
-    return _degree_slice(n, t)[i - below]
 
 
 @lru_cache(maxsize=None)
@@ -212,9 +184,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(sum(a) for a in self.terms)
-
-    def coefficient(self, alpha: Exponent) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
 
     def sorted_terms(self) -> list[tuple[Exponent, float]]:
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))

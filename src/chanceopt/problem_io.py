@@ -246,8 +246,18 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
 
 
 def parse(path) -> tuple[ChanceProblem, RunOptions]:
-    """Read and validate a problem file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a problem file.
+
+    A file that cannot be read (a directory, say, or bytes that are not
+    UTF-8) is a format error at ``$`` naming the path, like bad JSON.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ProblemFormatError(f"cannot read {path}: {exc.strerror or exc}", "$")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                                 f"{exc.start}", "$")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

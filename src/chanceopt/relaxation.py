@@ -124,9 +124,6 @@ class ScalingMap:
     def to_original(self, u):
         return self.offset + self.half * np.asarray(u, dtype=float)
 
-    def to_scaled(self, x):
-        return (np.asarray(x, dtype=float) - self.offset) / self.half
-
     @property
     def is_identity(self) -> bool:
         return bool(np.all(self.offset == 0.0) and np.all(self.half == 1.0))
@@ -228,7 +225,6 @@ class ProgramMeta:
     scaled: ScaledProblem
     set_slices: list
     yx_slice: Optional[slice] = None
-    mode: str = ""
 
 
 def _localized_sets(prob: ChanceProblem, order: int, x_scaled=None) -> list:
@@ -253,7 +249,7 @@ def _localized_sets(prob: ChanceProblem, order: int, x_scaled=None) -> list:
 def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: str,
               weights: Optional[list] = None, yx_slice: Optional[slice] = None,
               decision_block: Optional[PsdBlock] = None, lift=None,
-              law: Optional[np.ndarray] = None, mode: str = "") -> ConicProgram:
+              law: Optional[np.ndarray] = None) -> ConicProgram:
     """The part both programs share: one measure per set, dominated jointly.
 
     Set k's moment vector (its variables are those of ``sets``) occupies
@@ -323,7 +319,7 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
         pinned_val=np.ones(len(pinned)),
     )
     meta = ProgramMeta(kind=kind, order=order, basis=basis, scaled=scaled,
-                       set_slices=set_slices, yx_slice=yx_slice, mode=mode)
+                       set_slices=set_slices, yx_slice=yx_slice)
     return ConicProgram(objective=objective, blocks=blocks, simple_set=simple, meta=meta)
 
 
@@ -412,8 +408,7 @@ def build_refinement_sdp(problem, x_scaled: Sequence[float], order: int,
     elif mode == "single":
         weights = [s[1 + weight_index] for s in sets]
     law = moment_vector(prob.dist, 2 * order, basis).values
-    return _assemble("refinement", scaled, sets, order, basis, weights=weights,
-                     law=law, mode=mode)
+    return _assemble("refinement", scaled, sets, order, basis, weights=weights, law=law)
 
 
 @dataclass

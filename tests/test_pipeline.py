@@ -212,8 +212,44 @@ class TestCli:
         doc = json.loads((tmp_path / "example1_pair_d1_report.json").read_text())
         assert doc["results"][0]["p_refine_weighted"] is not None
 
-    def test_missing_file_exit_two(self):
-        assert main(["solve", "no_such_problem.json"]) == 2
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        # a problem argument naming no readable problem file (missing, a
+        # directory, bytes that are not UTF-8) is an input error naming it
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"name": "caf\xe9"}')
+        out = tmp_path / "out"
+        for problem in ("no_such_problem.json", str(tmp_path), str(latin1)):
+            assert main(["solve", problem, "--out-dir", str(out)]) == 2, problem
+            err = capsys.readouterr().err
+            assert err.startswith("input error: $: ") and problem in err
+        assert not out.exists()
+
+    # where each command writes, with {out} for the output location
+    OUTPUT_ARGS = {
+        "bundled": ["bundled", "example1_toy", "--out", "{out}/toy.json"],
+        "grid": ["grid", "example1_toy", "--grid", "3", "--samples", "100",
+                 "--out-dir", "{out}"],
+        "solve": ["solve", "example1_toy", "--out-dir", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command", ["bundled", "grid"])
+    def test_output_parents_created(self, command, tmp_path):
+        out = tmp_path / "nope" / "x"
+        argv = [a.format(out=out) for a in self.OUTPUT_ARGS[command]]
+        assert main(argv) == 0
+        assert len(list(out.iterdir())) == 1
+
+    @pytest.mark.parametrize("command", list(OUTPUT_ARGS))
+    def test_uncreatable_output_exit_two(self, command, tmp_path, capsys, monkeypatch):
+        # nothing can be created under a regular file; the check comes
+        # before the problem is read, so parse is never reached
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr("chanceopt.cli.parse", None)
+        argv = [a.format(out=blocker / "x") for a in self.OUTPUT_ARGS[command]]
+        flag = "--out" if command == "bundled" else "--out-dir"
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: cannot ")
 
     def test_order_too_small_exit_two(self, toy_file, capsys):
         assert main(["solve", str(toy_file), "--order", "1"]) == 2
@@ -386,3 +422,23 @@ class TestCli:
                      "--max-outer", "12", "--out-dir", str(tmp_path)])
         assert code == 0
         assert "p_sdp=0.6" in capsys.readouterr().out
+
+
+def test_readme_library_use_resolves():
+    # The README's "Library use" block reads only names the package exports.
+    # It is parsed, not run: its solves take tens of seconds.
+    import ast
+
+    import chanceopt
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(block)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "co"}
+    assert read, "no co.<name> in the Library use block"
+    assert sorted(name for name in read if not hasattr(chanceopt, name)) == []
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {getattr(node, "module", None) for node in imports} == {None, "chanceopt.problems"}
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})

@@ -1,6 +1,7 @@
 """Problem file validation, emission, and round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -149,10 +150,19 @@ class TestParse:
             RunOptions(**kwargs)
 
     def test_bad_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ProblemFormatError, match="not valid JSON"):
-            parse(path)
+        # a file that cannot be read names its path; None makes a directory
+        for i, (content, message) in enumerate([
+            (b"{not json", "$: not valid JSON"),
+            (b'{"name": "caf\xe9"}', "$: {path} is not UTF-8 text"),
+            (None, "$: cannot read {path}"),
+        ]):
+            path = tmp_path / f"bad{i}.json"
+            if content is None:
+                path.mkdir()
+            else:
+                path.write_bytes(content)
+            with pytest.raises(ProblemFormatError, match=re.escape(message.format(path=path))):
+                parse(path)
 
     def test_refine_mode_strings(self):
         assert parse_refine_mode("indicator") == ("indicator", None)

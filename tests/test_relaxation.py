@@ -187,7 +187,7 @@ class TestBuildChanceSdp:
             vec = util.toy_feasible_point(prog, 0.5)
             assert np.all(vec >= prog.simple_set.lower - 1e-12)
             assert np.all(vec <= prog.simple_set.upper + 1e-12)
-            for blk, mat in zip(prog.blocks, prog.block_values(vec)):
+            for blk, mat in zip(prog.blocks, util.block_values(prog, vec)):
                 mn = float(np.linalg.eigvalsh(mat)[0])
                 assert mn >= -1e-9, (basis, blk.label, mn)
             dec = decode(prog, vec)
@@ -206,7 +206,7 @@ class TestBuildChanceSdp:
         n_dec = basis_size(1, 4)
         vec_lo[info_lo.set_slices[0]] = vec_hi[info_hi.set_slices[0]][:n_joint]
         vec_lo[info_lo.yx_slice] = vec_hi[info_hi.yx_slice][:n_dec]
-        for blk, mat in zip(lo.blocks, lo.block_values(vec_lo)):
+        for blk, mat in zip(lo.blocks, util.block_values(lo, vec_lo)):
             assert float(np.linalg.eigvalsh(mat)[0]) >= -1e-9, blk.label
 
     def test_boundedness_of_near_feasible_vectors(self):
@@ -219,7 +219,7 @@ class TestBuildChanceSdp:
             for _ in range(3):
                 pert = vec + rng.uniform(-1e-8, 1e-8, len(vec))
                 worst = min(float(np.linalg.eigvalsh(m)[0])
-                            for m in prog.block_values(pert))
+                            for m in util.block_values(prog, pert))
                 if worst >= -1e-6:
                     assert np.max(np.abs(pert)) <= 1.0 + 1e-4
 
@@ -263,7 +263,7 @@ class TestDecode:
         info = prog.meta
         vec = np.zeros(prog.num_scalars)
         z = -0.37
-        vec[info.yx_slice] = MomentVector.from_dirac([z], 4).values
+        vec[info.yx_slice] = util.dirac_moments([z], 4).values
         dec = decode(prog, vec)
         assert dec.x[0] == pytest.approx(z, abs=1e-15)
 
@@ -336,8 +336,7 @@ class TestRefinement:
         prob = util.toy_problem()
         for mode, idx in (("product", None), ("single", 0)):
             prog = build_refinement_sdp(prob, [0.5], 2, mode=mode, weight_index=idx)
-            info = prog.meta
-            assert info.mode == mode
+            assert prog.meta.kind == "refinement"
         with pytest.raises(ValueError):
             build_refinement_sdp(prob, [0.5], 2, mode="single", weight_index=4)
 
@@ -381,7 +380,7 @@ class TestRefinement:
         prog = build_refinement_sdp(util.toy_problem(), [0.5], 3, mode="indicator")
         restricted = util.toy_restricted_moments(0.5, 6)
         vec = restricted.values
-        for blk, mat in zip(prog.blocks, prog.block_values(vec)):
+        for blk, mat in zip(prog.blocks, util.block_values(prog, vec)):
             assert float(np.linalg.eigvalsh(mat)[0]) >= -1e-9, blk.label
         dec = decode(prog, vec)
         assert dec.mass == pytest.approx(0.25, abs=1e-12)
@@ -414,7 +413,7 @@ class TestRefinement:
             vals = [(hi ** (k + 1) - lo ** (k + 1)) / (2.0 * (k + 1))
                     for k in range(7)]
             vec[sl] = vals
-        for blk, mat in zip(prog.blocks, prog.block_values(vec)):
+        for blk, mat in zip(prog.blocks, util.block_values(prog, vec)):
             assert float(np.linalg.eigvalsh(mat)[0]) >= -1e-10, blk.label
         assert decode(prog, vec).mass == pytest.approx(0.5)
 

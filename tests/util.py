@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the independent reference
+definitions (oracles) that the package's fast paths are checked against."""
 
 from functools import lru_cache
 from itertools import product
@@ -11,18 +12,142 @@ from chanceopt.conic import (
     SimpleSet,
     SparseMatrix,
     svec,
-    unsvec,
+    triu_info,
 )
-from chanceopt.measures import Beta, DistributionSpec, Uniform, joint_moment
+from chanceopt.errors import DimensionError
+from chanceopt.measures import (
+    Beta,
+    DistributionSpec,
+    Uniform,
+    lift_factors,
+    univariate_moment,
+)
 from chanceopt.moments import (
+    CHEBYSHEV,
+    MONOMIAL,
     MomentVector,
-    basis_values,
+    _check_basis,
+    cheb_basis_poly,
     localizing_block_terms,
     moment_block_terms,
     terms_matrix,
 )
-from chanceopt.poly import Polynomial, basis_size, exponents, grevlex_key
+from chanceopt.poly import (
+    Polynomial,
+    basis_size,
+    exponent_array,
+    exponents,
+    grevlex_key,
+    monomial_rank,
+)
 from chanceopt.relaxation import ChanceProblem
+
+
+def literal_grevlex_compare(a, b):
+    """The defining rule, kept as an independent oracle for the sort key:
+    lower total degree first, ties broken by the sign of the last nonzero
+    entry of a - b."""
+    da, db = sum(a), sum(b)
+    if da != db:
+        return -1 if da < db else 1
+    for ai, bi in zip(reversed(a), reversed(b)):
+        diff = ai - bi
+        if diff:
+            return -1 if diff < 0 else 1
+    return 0
+
+
+def key_compare(a, b) -> int:
+    """-1, 0 or +1 as ``grevlex_key``, the package's sort key, puts ``a``
+    before, level with, or after ``b``."""
+    ka, kb = grevlex_key(a), grevlex_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def unsvec(vec: np.ndarray, dim: int) -> np.ndarray:
+    """The symmetric matrix of an svec vector (inverse of ``conic.svec``)."""
+    tri = triu_info(dim)
+    return vec[tri.position] / tri.scale[tri.position]
+
+
+def block_values(program: ConicProgram, x) -> list:
+    """Dense block matrices sum_i x_i C_i - C_0 at a point, block by block."""
+    return [unsvec(b.coeffs @ x, b.dim) - b.constant for b in program.blocks]
+
+
+def basis_values(point: np.ndarray, order: int, basis: str = MONOMIAL) -> np.ndarray:
+    """Vector of all basis polynomials of degree <= order evaluated at a point."""
+    _check_basis(basis)
+    point = np.asarray(point, dtype=float)
+    n = len(point)
+    exps = exponent_array(n, order)
+    if basis == MONOMIAL:
+        # univariate power tables, then product across coordinates
+        pows = np.vstack([point[i] ** np.arange(order + 1) for i in range(n)])
+    else:
+        pows = np.vstack([_cheb_values(point[i], order) for i in range(n)])
+    out = np.ones(exps.shape[0])
+    for i in range(n):
+        out *= pows[i, exps[:, i]]
+    return out
+
+
+def _cheb_values(x: float, order: int) -> np.ndarray:
+    vals = np.empty(order + 1)
+    vals[0] = 1.0
+    if order >= 1:
+        vals[1] = x
+    for k in range(2, order + 1):
+        vals[k] = 2.0 * x * vals[k - 1] - vals[k - 2]
+    return vals
+
+
+def dirac_moments(point, order: int, basis: str = MONOMIAL) -> MomentVector:
+    """Moments of the unit point mass at ``point``."""
+    point = np.asarray(point, dtype=float)
+    return MomentVector(len(point), order, basis_values(point, order, basis))
+
+
+def discrete_moments(points, weights, order: int, basis: str = MONOMIAL) -> MomentVector:
+    """Moments of the discrete measure sum_k weights[k] * delta(points[k])."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    weights = np.asarray(weights, dtype=float)
+    if len(weights) != points.shape[0]:
+        raise DimensionError("one weight per point required")
+    vals = np.zeros(basis_size(points.shape[1], order))
+    for pt, w in zip(points, weights):
+        vals += w * basis_values(pt, order, basis)
+    return MomentVector(points.shape[1], order, vals)
+
+
+def chebyshev_transform(n: int, d: int) -> np.ndarray:
+    """Change-of-basis matrix: row i holds the monomial coefficients of b_alpha(i).
+
+    Lower triangular with positive diagonal under the grevlex layout, hence
+    invertible.
+    """
+    size = basis_size(n, d)
+    T = np.zeros((size, size))
+    for i, alpha in enumerate(exponents(n, d)):
+        for beta, coef in cheb_basis_poly(alpha).terms.items():
+            T[i, monomial_rank(beta)] = coef
+    return T
+
+
+def joint_moment(spec: DistributionSpec, beta) -> float:
+    """Product of per-coordinate moments (coordinates are independent)."""
+    if len(beta) != spec.m:
+        raise DimensionError(f"exponent length {len(beta)} for {spec.m} random coordinates")
+    out = 1.0
+    for dist, k in zip(spec.coords, beta):
+        out *= univariate_moment(dist, int(k))
+    return out
+
+
+def lift(y_x: MomentVector, spec: DistributionSpec, order: int) -> MomentVector:
+    """Joint moments of (decision measure) x (random measure), by ``lift_factors``."""
+    x_rank, qfac = lift_factors(y_x.num_vars, spec, order)
+    return MomentVector(y_x.num_vars + spec.m, order, qfac * y_x.values[x_rank])
 
 
 def to_sparse(dense) -> SparseMatrix:
@@ -148,8 +273,6 @@ def toy_feasible_point(program, x_val: float) -> np.ndarray:
     the product measure restricted to the constraint set.  All program
     blocks are then moment matrices of true measures, hence PSD.
     """
-    from chanceopt.moments import CHEBYSHEV, MomentVector, chebyshev_transform
-
     info = program.meta
     prob = info.scaled.problem
     order = 2 * info.order
@@ -158,14 +281,13 @@ def toy_feasible_point(program, x_val: float) -> np.ndarray:
     # joint moments of (dirac at x) x (restricted uniform): value at (a, b)
     # is x^a times the restricted moment b
     joint = np.zeros(info.set_slices[0].stop - info.set_slices[0].start)
-    from chanceopt.poly import exponents
     for t, theta in enumerate(exponents(2, order)):
         joint[t] = x_val ** theta[0] * restricted.values[theta[1]]
-    y_x = MomentVector.from_dirac([x_val], order)
+    y_x = dirac_moments([x_val], order)
 
     if info.basis == CHEBYSHEV:
         joint = chebyshev_transform(2, order) @ joint
-        y_x = MomentVector.from_dirac([x_val], order, basis=CHEBYSHEV)
+        y_x = dirac_moments([x_val], order, basis=CHEBYSHEV)
 
     vec = np.zeros(program.num_scalars)
     vec[info.set_slices[0]] = joint
@@ -186,7 +308,8 @@ def dirac_law_point(program, x) -> np.ndarray:
     assert info.basis == "monomial" and len(info.set_slices) == 1
     prob = info.scaled.problem
     order = 2 * info.order
-    x_scaled = info.scaled.decision_map.to_scaled(x)
+    dmap = info.scaled.decision_map
+    x_scaled = (np.asarray(x, dtype=float) - dmap.offset) / dmap.half
     joint = np.array([
         np.prod(x_scaled ** np.array(theta[:prob.n]))
         * joint_moment(prob.dist, theta[prob.n:])
@@ -194,7 +317,7 @@ def dirac_law_point(program, x) -> np.ndarray:
     ])
     vec = np.zeros(program.num_scalars)
     vec[info.set_slices[0]] = joint
-    vec[info.yx_slice] = MomentVector.from_dirac(x_scaled, order).values
+    vec[info.yx_slice] = dirac_moments(x_scaled, order).values
     return vec
 
 
