@@ -162,6 +162,13 @@ def lift_factors(n: int, spec: DistributionSpec, order: int,
     return _joint_split_ranks(n, spec.m, order), qfac
 
 
+def check_samplable(spec: DistributionSpec) -> None:
+    """Raise ``ModelError`` unless every marginal can be sampled."""
+    for i, dist in enumerate(spec.coords):
+        if isinstance(dist, ExplicitMoments):
+            raise ModelError(f"coordinate {i}: cannot sample from an explicit moment list")
+
+
 def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     """Draw ``count`` independent joint samples; deterministic per seed.
 
@@ -175,9 +182,10 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    check_samplable(spec)
     rng = np.random.default_rng(seed)
     out = np.empty((spec.m, count))
-    for i, (dist, row) in enumerate(zip(spec.coords, out)):
+    for dist, row in zip(spec.coords, out):
         if isinstance(dist, Uniform):
             # numpy's uniform is lo + (hi - lo) * u, rounded step by step
             width = dist.hi - dist.lo
@@ -186,10 +194,6 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
             rng.random(out=row)
             row *= width
             row += dist.lo
-        elif isinstance(dist, Beta):
+        else:   # Beta: check_samplable turned explicit moment lists away
             row[:] = rng.beta(dist.alpha, dist.beta, size=count)
-        else:
-            raise ModelError(
-                f"coordinate {i}: cannot sample from an explicit moment list"
-            )
     return out.T

@@ -6,9 +6,11 @@ Two bases are supported.  In the monomial basis a moment vector holds
 the product Chebyshev basis on [-1,1]^n.  Both are grevlex-indexed, so a
 basis switch changes only how matrix entries combine coordinates.
 
-Chebyshev matrix entries are assembled from exact expansion tables
-(``T_a T_b = (T_{a+b} + T_{|a-b|}) / 2`` and the closed form for ``x^k`` in
-Chebyshev coordinates); the change-of-basis matrix is never inverted.
+A polynomial enters a matrix through its coefficients in the basis (for
+Chebyshev, from the closed form for ``x^k`` in Chebyshev coordinates), and
+products of basis elements expand by the basis's product rule
+(``x^a x^b = x^{a+b}``, ``T_a T_b = (T_{a+b} + T_{|a-b|}) / 2``); the
+change-of-basis matrix is never inverted.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .poly import (
     basis_size,
     encode_exponents,
     exponent_array,
-    exponents,
     lookup_ranks,
-    monomial_rank,
 )
 
 MONOMIAL = "monomial"
@@ -64,9 +64,12 @@ class MomentVector:
         alpha = tuple(alpha)
         if len(alpha) != self.num_vars:
             raise DimensionError(f"exponent {alpha} for {self.num_vars} variables")
+        if min(alpha) < 0:
+            raise ValueError(f"negative entry in exponent {alpha}")
         if sum(alpha) > self.order:
             raise OrderError(f"exponent {alpha} beyond stored order {self.order}")
-        return float(self.values[monomial_rank(alpha)])
+        code = encode_exponents(np.array([alpha], dtype=np.int64), self.order + 1)
+        return float(self.values[lookup_ranks(code, self.num_vars, self.order)[0]])
 
 
 # -- Chebyshev tables ---------------------------------------------------------
@@ -110,39 +113,6 @@ def mono_cheb_coeffs(k: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def cheb_basis_poly(alpha: Exponent) -> Polynomial:
-    """The product Chebyshev basis polynomial b_alpha in monomial coordinates."""
-    n = len(alpha)
-    out = Polynomial.constant(n, 1.0)
-    for i, e in enumerate(alpha):
-        if e == 0:
-            continue
-        coeffs = cheb_mono_coeffs(e)
-        uni = Polynomial(n, {
-            tuple(j if t == i else 0 for t in range(n)): c
-            for j, c in enumerate(coeffs) if c != 0.0
-        })
-        out = out * uni
-    return out
-
-
-@lru_cache(maxsize=None)
-def cheb_product_expansion(a: Exponent, b: Exponent) -> tuple[tuple[Exponent, float], ...]:
-    """Chebyshev coefficients of b_a * b_b via the univariate product rule."""
-    if len(a) != len(b):
-        raise DimensionError("exponent lengths differ")
-    acc: dict[Exponent, float] = {(): 1.0}
-    for ai, bi in zip(a, b):
-        nxt: dict[Exponent, float] = {}
-        for prefix, w in acc.items():
-            for e in (ai + bi, abs(ai - bi)):
-                key = prefix + (e,)
-                nxt[key] = nxt.get(key, 0.0) + 0.5 * w
-        acc = nxt
-    return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
 def monomial_cheb_expansion(gamma: Exponent) -> tuple[tuple[Exponent, float], ...]:
     """Chebyshev coefficients of the monomial x^gamma (tensor of univariate tables)."""
     acc: dict[Exponent, float] = {(): 1.0}
@@ -171,66 +141,85 @@ def poly_cheb_coeffs(p: Polynomial) -> dict[Exponent, float]:
 
 # -- Moment and localizing matrices as term structures ------------------------
 #
-# Each helper returns parallel arrays (rows, cols, ranks, coefs) describing,
+# Each builder returns parallel arrays (rows, cols, ranks, coefs) describing,
 # for entries (rows[t], cols[t]) with rows <= cols of the matrix, a term
-# coefs[t] * y[ranks[t]].  Repeated (row, col, rank) triples accumulate.
+# coefs[t] * y[ranks[t]]; each (row, col, rank) triple appears once.
 # ``conic.PsdBlock.from_terms`` turns them into block coefficients;
-# ``terms_matrix`` evaluates them at a moment vector.  In the monomial basis
-# the moment matrix is the localizing matrix of the constant 1; in the
-# Chebyshev basis it keeps the exact product rule, which needs no polynomial
-# products.  A trace is the sum of the terms with rows == cols.
+# ``terms_matrix`` evaluates them at a moment vector.  Entry (i, j) of the
+# localizing matrix of p applies the moment functional to p * b_i * b_j.
+# With p written in the basis, every product of two basis elements expands
+# by the basis's product rule, vectorized over the base-(maxdeg + 1) codes of
+# the exponents (``poly.encode_exponents``), so both bases share one path,
+# and the moment matrix is the localizing matrix of the constant 1.
+# A trace is the sum of the terms with rows == cols.
+
+
+def _monomial_product(a, b, base: int, n: int):
+    """x^a * x^b row by row, for exponent codes a and b: (row, code, weight)."""
+    code = a + b
+    return np.arange(len(code)), code, np.ones(len(code))
+
+
+def _chebyshev_product(a, b, base: int, n: int):
+    """b_a * b_b row by row, for exponent codes a and b: (row, code, weight).
+
+    Each coordinate where both exponents are positive splits every term in
+    two by T_s T_t = (T_{s+t} + T_{|s-t|}) / 2; in that coordinate's digit
+    the second code is the first minus 2 min(s, t).
+    """
+    code = a + b
+    row, weight = np.arange(len(code)), np.ones(len(code))
+    for k in range(n):
+        place = base**k
+        low = np.minimum(a // place % base, b // place % base)
+        split = np.flatnonzero(low[row] > 0)
+        src = row[split]
+        weight[split] *= 0.5
+        row = np.concatenate([row, src])
+        code = np.concatenate([code, code[split] - 2 * place * low[src]])
+        weight = np.concatenate([weight, weight[split]])
+    return row, code, weight
+
+
+# per basis: a polynomial's coefficients in it, and its product rule
+_BASIS_RULES = {
+    MONOMIAL: (lambda p: p.terms, _monomial_product),
+    CHEBYSHEV: (poly_cheb_coeffs, _chebyshev_product),
+}
+
+
+def basis_coeffs(p: Polynomial, basis: str) -> dict[Exponent, float]:
+    """The nonzero coefficients of ``p`` in ``basis``, keyed by exponent."""
+    _check_basis(basis)
+    return _BASIS_RULES[basis][0](p)
 
 
 def moment_block_terms(n: int, d: int, basis: str = MONOMIAL):
-    _check_basis(basis)
-    if basis == MONOMIAL:
-        return localizing_block_terms(Polynomial.constant(n, 1.0), d, basis)
-    size = basis_size(n, d)
-    exps = exponents(n, d)
-    rows, cols, ranks, coefs = [], [], [], []
-    for i in range(size):
-        for j in range(i, size):
-            for gamma, w in cheb_product_expansion(exps[i], exps[j]):
-                rows.append(i)
-                cols.append(j)
-                ranks.append(monomial_rank(gamma))
-                coefs.append(w)
-    return (np.array(rows), np.array(cols), np.array(ranks, dtype=np.int64),
-            np.array(coefs))
+    return localizing_block_terms(Polynomial.constant(n, 1.0), d, basis)
 
 
 def localizing_block_terms(p: Polynomial, d: int, basis: str = MONOMIAL):
-    _check_basis(basis)
+    coeffs = basis_coeffs(p, basis)
+    product = _BASIS_RULES[basis][1]
     n = p.num_vars
-    size = basis_size(n, d)
-    if basis == MONOMIAL:
-        maxdeg = 2 * d + p.degree
-        base = maxdeg + 1
-        codes = encode_exponents(exponent_array(n, d), base)
-        iu, ju = np.triu_indices(size)
-        pair = codes[iu] + codes[ju]
-        rows, cols, ranks, coefs = [], [], [], []
-        for gamma, coef in p.terms.items():
-            g = int(encode_exponents(np.array([gamma], dtype=np.int64), base)[0])
-            rows.append(iu)
-            cols.append(ju)
-            ranks.append(lookup_ranks(pair + g, n, maxdeg))
-            coefs.append(np.full(len(iu), coef))
-        return (np.concatenate(rows), np.concatenate(cols),
-                np.concatenate(ranks), np.concatenate(coefs))
-    exps = exponents(n, d)
-    rows, cols, ranks, coefs = [], [], [], []
-    for i in range(size):
-        bi = cheb_basis_poly(exps[i])
-        for j in range(i, size):
-            prod = p * bi * cheb_basis_poly(exps[j])
-            for gamma, coef in poly_cheb_coeffs(prod).items():
-                rows.append(i)
-                cols.append(j)
-                ranks.append(monomial_rank(gamma))
-                coefs.append(coef)
-    return (np.array(rows), np.array(cols), np.array(ranks, dtype=np.int64),
-            np.array(coefs))
+    maxdeg = 2 * d + p.degree
+    base = maxdeg + 1
+    codes = encode_exponents(exponent_array(n, d), base)
+    iu, ju = np.triu_indices(len(codes))
+    pair, pair_codes, pair_weight = product(codes[iu], codes[ju], base, n)
+    num_ranks = basis_size(n, maxdeg)
+    keys, vals = [], []
+    for gamma, coef in coeffs.items():
+        g = encode_exponents(np.array(gamma, dtype=np.int64), base)
+        src, term_codes, weight = product(g, pair_codes, base, n)
+        keys.append(pair[src] * num_ranks + lookup_ranks(term_codes, n, maxdeg))
+        vals.append(coef * (pair_weight[src] * weight))
+    # the terms of one (entry, moment) add up once, in order; exact zeros go
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(inverse, weights=np.concatenate(vals))
+    keep = sums != 0.0
+    entry, ranks = np.divmod(keys[keep], num_ranks)
+    return iu[entry], ju[entry], ranks, sums[keep]
 
 
 def terms_matrix(terms, y: np.ndarray, size: int) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .alcc import SolverTrace, alcc_solve
 from .mc import McConfig, estimate_probability, grid_search
+from .measures import check_samplable
 from .problem_io import RunOptions, emit_options
 from .relaxation import (
     ChanceProblem,
@@ -204,6 +205,8 @@ def run_pipeline(problem: ChanceProblem, options: RunOptions, command: str,
     decision at which the verify subcommand estimates the probability,
     skipping the solve.
     """
+    if command in ("verify", "sweep"):
+        check_samplable(problem.dist)   # before any solve, not after it
     scaled = scale_problem(problem)
     report = RunReport(name=problem.name, command=command, options=options,
                        results=[], source_hash=source_hash)

@@ -15,6 +15,7 @@ rule as an independent oracle and checks the key against it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -146,7 +147,7 @@ class Polynomial:
             raise DimensionError("polynomial needs at least one variable")
         clean = {}
         for alpha, coef in self.terms.items():
-            alpha = tuple(int(e) for e in alpha)
+            alpha = tuple(operator.index(e) for e in alpha)  # no silent truncation
             if len(alpha) != self.num_vars:
                 raise DimensionError(
                     f"exponent {alpha} has length {len(alpha)}, expected {self.num_vars}"

@@ -51,13 +51,12 @@ from .measures import DistributionSpec, Uniform, lift_factors, moment_vector
 from .moments import (
     MONOMIAL,
     _check_basis,
+    basis_coeffs,
     localizing_block_terms,
     moment_block_terms,
-    monomial_rank,
-    poly_cheb_coeffs,
     terms_matrix,
 )
-from .poly import Polynomial, affine_substitutions, basis_size
+from .poly import Polynomial, affine_substitutions, basis_size, monomial_rank
 
 REFINE_MODES = ("indicator", "product", "single")
 
@@ -307,8 +306,7 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
 
     objective = np.zeros(num_scalars)
     for sl, w in zip(set_slices, weights):
-        coeff_map = w.terms if basis == MONOMIAL else poly_cheb_coeffs(w)
-        for gamma, coef in coeff_map.items():
+        for gamma, coef in basis_coeffs(w, basis).items():
             objective[sl.start + monomial_rank(gamma)] -= coef
 
     pinned = [] if yx_slice is None else [yx_slice.start]

@@ -3,7 +3,8 @@
 Each digest is the sha256 of ``ConicProgram.export_text`` for one program:
 every bundled problem at its file order, union and five-dim at order 2,
 and the toy's refinement programs at the scaled decision 0.5, all in both
-bases.  A refactor of the builder must leave every digest unchanged; a
+bases; and the union at order 3 in the Chebyshev basis, whose localizer
+terms sum many products of basis elements.  A refactor of the builder must leave every digest unchanged; a
 deliberate change to the programs must update them and say why.
 """
 
@@ -49,9 +50,11 @@ DIGESTS = {
     ("example5_scaling", 1, "chebyshev"):
         "9452050d4f254c29d0be36c64cf4622e34560eb654d59165a56c972c616d1a8c",
     ("example2_union", 2, "chebyshev"):
-        "39def8d6bed7ffaaba178913cc23a59aa37b334d5cb93b1ff241dd47fc243ed5",
+        "420ebdab55bf7782a64b383b143e7f5bff025734b6d0c4ad201db2f0d59ca9d6",
     ("example1_5d", 2, "chebyshev"):
         "af5239dae06192be23394cf9880e87e893a57f9372323be230fd5bd7b04a6fe2",
+    ("example2_union", 3, "chebyshev"):
+        "d04d2db2b9aaf2af57efc2b6b9548173c440f43d49a8849ffc4eb9368617df13",
 }
 
 REFINEMENT_DIGESTS = {

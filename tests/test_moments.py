@@ -9,22 +9,27 @@ import pytest
 
 from chanceopt.moments import (
     MomentVector,
-    cheb_basis_poly,
     cheb_mono_coeffs,
+    localizing_block_terms,
     mono_cheb_coeffs,
     poly_cheb_coeffs,
 )
 from chanceopt.measures import DistributionSpec, Uniform
-from chanceopt.poly import Polynomial, basis_size
-from chanceopt.relaxation import ChanceProblem, build_chance_sdp
+from chanceopt.poly import Polynomial, basis_size, exponents, monomial_rank
+from chanceopt.problems import load_bundled
+from chanceopt.relaxation import ChanceProblem, build_chance_sdp, scale_problem
 from util import (
     basis_values,
+    cheb_basis_poly,
     chebyshev_transform,
     dirac_moments,
     discrete_moments,
+    exact_cheb_localizer_entry,
     localizing_matrix,
     moment_matrix,
     reference_measure_matrix,
+    toy_problem,
+    ulps_off,
 )
 
 
@@ -271,6 +276,32 @@ class TestChebyshev:
         for gamma, c in coeffs.items():
             rebuilt += c * cheb_basis_poly(gamma).eval_many(pts)
         assert np.allclose(direct, rebuilt, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["toy", "union"])
+    def test_localizer_terms_within_one_ulp_of_exact(self, case):
+        # every listed entry's terms against exact rational arithmetic; in the
+        # union's column b_j = T_2(x_8), forming p * b_i * b_j in monomial
+        # coordinates and converting it back was 54 ulp off
+        d = 2
+        if case == "toy":
+            p = scale_problem(toy_problem()).problem.sets[0][0]
+            entries = [(i, j) for j in range(basis_size(2, d)) for i in range(j + 1)]
+        else:
+            p = scale_problem(load_bundled("example2_union")[0]).problem.sets[0][0]
+            col = exponents(10, d).index((0,) * 7 + (2, 0, 0))
+            rng = np.random.default_rng(18)
+            entries = [(i, col) for i in range(col + 1)] + [
+                tuple(sorted(rng.choice(basis_size(10, d), 2))) for _ in range(60)]
+        built = {}
+        for i, j, rank, coef in zip(*localizing_block_terms(p, d, "chebyshev")):
+            built.setdefault((i, j), {})[rank] = coef
+        exps = exponents(p.num_vars, d)
+        for i, j in entries:
+            exact = exact_cheb_localizer_entry(p, exps[i], exps[j])
+            got = built.get((i, j), {})
+            assert set(got) == {monomial_rank(beta) for beta in exact}
+            for beta, value in exact.items():
+                assert ulps_off(got[monomial_rank(beta)], value) <= 1.0, (i, j, beta)
 
     def test_trace_functional_matches_matrix_trace(self):
         # the chance program's trace term on the decision moments

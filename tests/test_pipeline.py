@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, report artifacts, and the command line."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import util
 from chanceopt.alcc import SolverParams
 from chanceopt.cli import main
 from chanceopt.mc import McConfig
-from chanceopt.measures import DistributionSpec, Uniform
+from chanceopt.measures import DistributionSpec, ExplicitMoments, Uniform
 from chanceopt.pipeline import run_pipeline, series_csv_text
 from chanceopt.poly import Polynomial
 from chanceopt.problem_io import RunOptions, write_problem
@@ -415,6 +416,25 @@ class TestCli:
         assert doc["status"] == "interrupted"
         assert [r["order"] for r in doc["results"]] == [2]
         assert not (tmp_path / "toy_d2_report.json").exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["sweep", "--dmin", "2", "--dmax", "2"]])
+    def test_unsamplable_law_fails_before_any_solve(self, command, tmp_path, capsys,
+                                                    monkeypatch):
+        # the toy's uniform law given as its raw moments: the relaxation can
+        # use it, Monte Carlo cannot, so the run must stop before solving
+        uniform = ExplicitMoments(tuple(1.0 / (k + 1) if k % 2 == 0 else 0.0
+                                        for k in range(9)))
+        problem = dataclasses.replace(util.toy_problem(),
+                                      dist=DistributionSpec((uniform,)))
+        path = tmp_path / "toy.json"
+        write_problem(problem, path, RunOptions(order=2))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the sampling check")
+
+        monkeypatch.setattr("chanceopt.pipeline.alcc_solve", no_solve)
+        assert main([*command, str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "cannot sample from an explicit moment list" in capsys.readouterr().err
 
     def test_chebyshev_flag(self, toy_file, tmp_path, capsys):
         code = main(["solve", str(toy_file), "--basis", "chebyshev",

@@ -160,6 +160,14 @@ class TestPolynomial:
         p = Polynomial(2, {(1, 0): 0.0, (0, 1): 2.0})
         assert (1, 0) not in p.terms
 
+    @pytest.mark.parametrize("alpha,error", [((-1, 0), ValueError),
+                                             ((2.7, 0), TypeError)])
+    def test_invalid_exponent_entry_rejected(self, alpha, error):
+        # 2.7 once truncated to 2, so x^2.7 evaluated as x^2
+        with pytest.raises(error):
+            Polynomial(2, {alpha: 1.0})
+        assert Polynomial(2, {(np.int64(2), 0): 1.0})([2.0, 0.0]) == 4.0
+
     def test_dimension_mismatch(self):
         p = Polynomial.coordinate(2, 0)
         q = Polynomial.coordinate(3, 0)

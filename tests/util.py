@@ -1,6 +1,8 @@
 """Shared helpers for the test suite, and the independent reference
 definitions (oracles) that the package's fast paths are checked against."""
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -27,12 +29,13 @@ from chanceopt.moments import (
     MONOMIAL,
     MomentVector,
     _check_basis,
-    cheb_basis_poly,
+    cheb_mono_coeffs,
     localizing_block_terms,
     moment_block_terms,
     terms_matrix,
 )
 from chanceopt.poly import (
+    Exponent,
     Polynomial,
     basis_size,
     exponent_array,
@@ -118,6 +121,65 @@ def discrete_moments(points, weights, order: int, basis: str = MONOMIAL) -> Mome
     for pt, w in zip(points, weights):
         vals += w * basis_values(pt, order, basis)
     return MomentVector(points.shape[1], order, vals)
+
+
+@lru_cache(maxsize=None)
+def cheb_basis_poly(alpha: Exponent) -> Polynomial:
+    """The product Chebyshev basis polynomial b_alpha in monomial coordinates."""
+    n = len(alpha)
+    out = Polynomial.constant(n, 1.0)
+    for i, e in enumerate(alpha):
+        if e == 0:
+            continue
+        coeffs = cheb_mono_coeffs(e)
+        uni = Polynomial(n, {
+            tuple(j if t == i else 0 for t in range(n)): c
+            for j, c in enumerate(coeffs) if c != 0.0
+        })
+        out = out * uni
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exact_power_in_cheb(k: int) -> tuple:
+    """(j, c) pairs with x^k = sum c T_j, exactly: the closed form
+    x^k = 2^(1-k) sum over j = k, k-2, ... of C(k, (k-j)/2) T_j, with the
+    j = 0 term halved."""
+    if k == 0:
+        return ((0, Fraction(1)),)
+    return tuple((j, Fraction(math.comb(k, (k - j) // 2), 2 ** (k - 1) * (2 if j == 0 else 1)))
+                 for j in range(k, -1, -2))
+
+
+def exact_cheb_localizer_entry(p: Polynomial, alpha_i: Exponent,
+                               alpha_j: Exponent) -> dict:
+    """Oracle: the exact Chebyshev coefficients of p * b_alpha_i * b_alpha_j.
+
+    The product is formed over the rationals in monomial coordinates (every
+    float is an exact rational, and b_alpha has integer coefficients), then
+    each monomial is expanded by the closed form for x^k.  No product rule
+    for Chebyshev polynomials is used.  Returns exponent -> nonzero Fraction.
+    """
+    prod = {}
+    for a, ca in p.terms.items():
+        for b, cb in cheb_basis_poly(tuple(alpha_i)).terms.items():
+            for c, cc in cheb_basis_poly(tuple(alpha_j)).terms.items():
+                key = tuple(x + y + z for x, y, z in zip(a, b, c))
+                prod[key] = prod.get(key, 0) + Fraction(ca) * Fraction(cb) * Fraction(cc)
+    out = {}
+    for gamma, coef in prod.items():
+        for parts in product(*(_exact_power_in_cheb(g) for g in gamma)):
+            beta = tuple(j for j, _ in parts)
+            out[beta] = out.get(beta, 0) + coef * math.prod(w for _, w in parts)
+    return {beta: c for beta, c in out.items() if c}
+
+
+def ulps_off(value: float, exact: Fraction) -> float:
+    """Distance of ``value`` from ``exact`` in units in the last place of the
+    float nearest ``exact`` (any nonzero value is infinitely off from 0)."""
+    if exact == 0:
+        return 0.0 if value == 0.0 else math.inf
+    return float(abs(Fraction(value) - exact) / Fraction(np.spacing(abs(float(exact)))))
 
 
 def chebyshev_transform(n: int, d: int) -> np.ndarray:
