@@ -221,8 +221,8 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     theta = np.zeros(len(b))
 
     # eta_0 from the initial composite gradient, dual started at zero
-    init_proj = program.project_dual(b - program.apply(x))
-    eta0 = 0.5 * float(np.linalg.norm(c - params.nu0 * program.adjoint(init_proj)))
+    grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
+    eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
     if eta0 == 0.0:
         eta0 = 1.0
 

@@ -17,9 +17,9 @@ projection plan and the export all read it there.
 Coefficients are ``SparseMatrix`` triplets in row-major order.  The solver
 applies the operator, its adjoint and the blockwise PSD projection once
 per inner iteration, so their set-up is paid once per program: the
-stacked matrix is built on first use, and so is the projection plan,
-which groups blocks by dimension and holds the index maps between the
-stacked svec vector and the batched dense matrices.  Both keep work
+stacked matrix and the projection plan are cached properties, built on
+first use.  The plan groups blocks by dimension and holds the index maps
+between the stacked svec vector and the batched dense matrices.  Both keep work
 buffers that every call reuses, so the loop allocates little beyond its
 results; this is also why a program is not reentrant.  A 1x1 block's
 cone is the half-line, so its projection is a clip at zero with no
@@ -28,8 +28,8 @@ eigendecomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
@@ -219,45 +219,33 @@ class ConicProgram:
     simple_set: SimpleSet
     meta: Optional[ProgramMeta] = None   # set by the relaxation builders
 
-    _stacked: Optional[SparseMatrix] = field(default=None, repr=False)
-    _stacked_const: Optional[np.ndarray] = field(default=None, repr=False)
-    _slices: Optional[list] = field(default=None, repr=False)
-    _proj_plan: Optional[_ProjPlan] = field(default=None, repr=False)
-
     @property
     def num_scalars(self) -> int:
         return len(self.objective)
 
     # -- stacked operator ---------------------------------------------------
 
-    def _ensure_stacked(self):
-        if self._stacked is None:
-            offsets = np.cumsum([0] + [b.tri_size for b in self.blocks])
-            self._stacked = SparseMatrix(
-                np.concatenate([b.coeffs.rows + off for b, off in zip(self.blocks, offsets)]),
-                np.concatenate([b.coeffs.cols for b in self.blocks]),
-                np.concatenate([b.coeffs.data for b in self.blocks]),
-                (int(offsets[-1]), self.num_scalars),
-            )
-            self._stacked_const = np.concatenate([svec(b.constant) for b in self.blocks])
-            self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+    @cached_property
+    def block_slices(self) -> list:
+        """Where each block's svec entries sit in the stacked vector."""
+        offsets = np.cumsum([0] + [b.tri_size for b in self.blocks])
+        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
-    @property
+    @cached_property
     def operator(self) -> SparseMatrix:
         """The stacked linear map x -> svec of all block left-hand sides."""
-        self._ensure_stacked()
-        return self._stacked
+        return SparseMatrix(
+            np.concatenate([b.coeffs.rows + sl.start
+                            for b, sl in zip(self.blocks, self.block_slices)]),
+            np.concatenate([b.coeffs.cols for b in self.blocks]),
+            np.concatenate([b.coeffs.data for b in self.blocks]),
+            (self.block_slices[-1].stop, self.num_scalars),
+        )
 
-    @property
+    @cached_property
     def constants(self) -> np.ndarray:
         """Stacked svec of the block constant matrices."""
-        self._ensure_stacked()
-        return self._stacked_const
-
-    @property
-    def block_slices(self) -> list:
-        self._ensure_stacked()
-        return self._slices
+        return np.concatenate([svec(b.constant) for b in self.blocks])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.operator @ x
@@ -268,20 +256,18 @@ class ConicProgram:
 
     # -- batched PSD projection over the stacked svec space ------------------
 
-    def _ensure_plan(self) -> _ProjPlan:
-        if self._proj_plan is not None:
-            return self._proj_plan
-        self._ensure_stacked()
+    @cached_property
+    def _plan(self) -> _ProjPlan:
         by_dim: dict[int, list[int]] = {}
         for i, blk in enumerate(self.blocks):
             by_dim.setdefault(blk.dim, []).append(i)
-        stacked = self._stacked.shape[0]
+        stacked = self.block_slices[-1].stop
         source = np.empty(stacked, dtype=np.intp)
         scale = np.empty(stacked)
         gather, spans, off = [], [], 0
         for dim, members in sorted(by_dim.items()):
             tri = triu_info(dim)
-            idx = np.array([np.arange(self._slices[i].start, self._slices[i].stop)
+            idx = np.array([np.arange(self.block_slices[i].start, self.block_slices[i].stop)
                             for i in members])
             n = len(members)
             gather.append(idx[:, tri.position].ravel())
@@ -294,8 +280,7 @@ class ConicProgram:
                    recon[o:o + n * dim * dim].reshape(n, dim, dim))
                   for dim, n, o in spans]
         gather = np.concatenate(gather)
-        self._proj_plan = _ProjPlan(gather, scale[gather], groups, batch, recon, source, scale)
-        return self._proj_plan
+        return _ProjPlan(gather, scale[gather], groups, batch, recon, source, scale)
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
@@ -309,7 +294,7 @@ class ConicProgram:
         clipped at zero without an eigendecomposition.  Only the returned
         vector is newly allocated.
         """
-        plan = self._ensure_plan()
+        plan = self._plan
         if s.shape != plan.source.shape:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
         batch = np.take(s, plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`

@@ -14,13 +14,13 @@ into P rows and splits each term's exponent into a decision part and a
 random-variable part; the distinct random-variable parts are the K
 monomials the draws are evaluated on.  For a decision ``x`` the table
 folds into a (P, K) coefficient matrix ``C`` (each term contributes
-``coef * x**alpha`` to its row and monomial).  For a block of draws the K
-monomial rows ``M`` are built once, reading each coordinate's draws in
-place (``sample`` lays them out coordinate-major, so each is contiguous),
-and one ``C @ M`` evaluates all P polynomials; a draw is inside a set when
-all of the set's rows (a contiguous range) are ``>= 0``, and inside the
-union when it is inside any set.  The estimate is the count of draws inside
-over the number of draws.
+``coef * x**alpha`` to its row and monomial).  For a block of draws each
+monomial row of ``M`` is the product of its factors, read in place from
+the coordinate-major draws of ``sample``, and one ``C @ M`` evaluates
+all P polynomials; a draw is inside a set when all of the set's rows (a
+contiguous range) are ``>= 0``, and inside the union when it is inside
+any set.  The estimate is the count of draws inside over the number of
+draws.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ResourceError
+from .errors import DimensionError, ModelError, ResourceError
 from .measures import sample
 from .poly import grevlex_key
 from .relaxation import ChanceProblem
@@ -83,8 +83,7 @@ class UnionEvaluator:
         self._slots = np.array(
             [row * len(monomials) + column[alpha[n:]] for row, alpha, _ in terms],
             dtype=np.intp)
-        self._plan = _monomial_plan(
-            [tuple((j, e) for j, e in enumerate(beta) if e) for beta in monomials])
+        self._factors = [[(j, e) for j, e in enumerate(beta) if e] for beta in monomials]
         self._mono = np.empty((len(monomials), _BLOCK))
         self._values = np.empty((len(polys), _BLOCK))
         self._nonneg = np.empty((len(polys), _BLOCK), dtype=bool)
@@ -101,7 +100,9 @@ class UnionEvaluator:
 
         ``draws`` is read in blocks of columns of ``draws.T``, without a
         copy; the transposed view that :func:`~chanceopt.measures.sample`
-        returns makes each coordinate's block contiguous.
+        returns makes each coordinate's block contiguous.  A monomial row is
+        its first factor (copied, or raised by ``np.power``) times each later
+        factor in coordinate order, left to right.
         """
         coef = self.coefficients(x)
         member = np.empty(draws.shape[0], dtype=bool)
@@ -111,22 +112,14 @@ class UnionEvaluator:
             mono = self._mono[:, :width]
             nonneg = self._nonneg[:, :width]
             inside = self._inside[:width]
-            for row, (source, first, rest) in zip(mono, self._plan):
-                if source is None:          # the constant monomial
+            for row, factors in zip(mono, self._factors):
+                if not factors:             # the constant monomial
                     row.fill(1.0)
-                    continue
-                kind, k, e = source
-                if kind == "pow":
-                    left = np.power(q[k], e, out=row)
+                elif factors[0][1] == 1:
+                    np.copyto(row, q[factors[0][0]])
                 else:
-                    left = (q if kind == "draw" else mono)[k]
-                if first is None:
-                    if kind == "draw":      # a single unit factor
-                        np.copyto(row, left)
-                    continue
-                j, e = first
-                np.multiply(left, q[j] if e == 1 else q[j] ** e, out=row)
-                for j, e in rest:
+                    np.power(q[factors[0][0]], factors[0][1], out=row)
+                for j, e in factors[1:]:
                     row *= q[j] if e == 1 else q[j] ** e
             values = np.matmul(coef, mono, out=self._values[:, :width])
             np.greater_equal(values, 0.0, out=nonneg)
@@ -136,37 +129,6 @@ class UnionEvaluator:
                 np.logical_and.reduce(nonneg[lo:hi], axis=0, out=inside)
                 hit |= inside
         return member
-
-
-def _monomial_plan(monomials: list) -> list:
-    """How :meth:`UnionEvaluator.membership` builds each monomial row.
-
-    ``monomials`` lists each monomial as its (coordinate, power) factors in
-    coordinate order, ``()`` for the constant.  A row is the product of its
-    factors taken left to right, the first power as ``np.power`` and later
-    ones as ``q ** e``; every entry keeps that order of rounding.  Entry k
-    is ``(source, first, rest)``: the row starts from ``source``, then is
-    multiplied by the factor ``first`` and each factor of ``rest``.
-    ``source`` is ``None`` for the constant, ``("row", r, 1)`` for an
-    earlier row whose factors lead this one's (the longest such), else the
-    first factor: ``("draw", j, 1)`` for a unit power, which needs no
-    arithmetic, or ``("pow", j, e)``.
-    """
-    built = {}
-    plan = []
-    for k, factors in enumerate(monomials):
-        source = None
-        for cut in range(len(factors) - 1, 0, -1):
-            if factors[:cut] in built:
-                source, factors = ("row", built[factors[:cut]], 1), factors[cut:]
-                break
-        else:
-            if factors:
-                (j, e), factors = factors[0], factors[1:]
-                source = ("draw", j, 1) if e == 1 else ("pow", j, e)
-        plan.append((source, factors[0] if factors else None, factors[1:]))
-        built[monomials[k]] = k
-    return plan
 
 
 def estimate_probability(problem: ChanceProblem, x: Sequence[float],
@@ -179,6 +141,8 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionError(f"decision has shape {x.shape}, expected ({problem.n},)")
+    if len(bad := np.flatnonzero(~np.isfinite(x))):
+        raise ModelError(f"decision entry {bad[0]} is {x[bad[0]]}, not finite")
     draws = sample(problem.dist, cfg.samples, cfg.seed)
     member = UnionEvaluator(problem).membership(x, draws)
     est = float(np.count_nonzero(member) / cfg.samples)

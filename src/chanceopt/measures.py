@@ -47,8 +47,8 @@ class Beta:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ModelError("beta shape parameters must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ModelError("beta shape parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class ExplicitMoments:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1 or vals[0] != 1.0:
             raise ModelError("explicit moment list must start with total mass 1")
-        if any(abs(v) > 1.0 for v in vals):
+        if not all(abs(v) <= 1.0 for v in vals):
             raise ModelError("explicit moments of a measure on [-1,1] must lie in [-1,1]")
         object.__setattr__(self, "values", vals)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import util
-from chanceopt.errors import ResourceError
+from chanceopt.errors import ModelError, ResourceError
 from chanceopt.mc import McConfig, UnionEvaluator, estimate_probability, grid_search
 from chanceopt.measures import DistributionSpec, Uniform, sample
 from chanceopt.poly import Polynomial
@@ -65,6 +65,12 @@ class TestEstimate:
         )
         est, _ = estimate_probability(prob, [0.0], McConfig(samples=100, seed=0))
         assert est == 1.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_decision_rejected(self, value):
+        with pytest.raises(ModelError, match="decision entry 0"):
+            estimate_probability(constant_set_problem(-1.0), [value],
+                                 McConfig(samples=500, seed=0))
 
     def test_toy_quarter(self):
         est, half = estimate_probability(util.toy_problem(), [0.5],
@@ -157,8 +163,9 @@ class TestUnionEvaluator:
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_draw_layouts_and_shared_prefixes(self, layout):
-        # rows built from an earlier row (q0*q1 -> q0*q1*q2, q0**3 ->
-        # q0**3*q1), a unit factor before a power (q0*q2**2) and a power
+        # monomials whose leading factors another monomial shares (q0*q1
+        # and q0*q1*q2, q0**3 and q0**3*q1), each built from its own
+        # factors, a unit factor before a power (q0*q2**2) and a power
         # first (q1**2*q2), on row-major and coordinate-major draws
         x, q0, q1, q2 = (Polynomial.coordinate(4, i) for i in range(4))
         prob = ChanceProblem(

@@ -58,6 +58,14 @@ class TestUnivariateMoments:
         with pytest.raises(ModelError):
             ExplicitMoments((1.0, 1.5))
 
+    @pytest.mark.parametrize("law, params", [
+        (Beta, (float("inf"), 1.0)), (Beta, (1.0, float("inf"))), (Beta, (float("nan"), 1.0)),
+        (ExplicitMoments, ((1.0, float("nan")),)),
+    ])
+    def test_non_finite_parameters_rejected(self, law, params):
+        with pytest.raises(ModelError):
+            law(*params)
+
     def test_quadrature_agreement(self):
         # every closed form against direct numerical integration, k <= 8
         cases = [
