@@ -16,7 +16,12 @@ serves both the primal distance and the dual projection.
 
 The gradient of the smooth part lives in one place,
 ``aug_lagrangian_grad``, which the inner loop calls; the PSD projection
-is ``ConicProgram.project_dual``.
+is ``ConicProgram.project_dual``.  On small programs an inner iteration
+costs more in numpy call overhead than in arithmetic, so the loop
+reuses its buffers: the gradient array becomes the gradient step and
+then the projected step, and the extrapolated point is rewritten in
+place.  Each operation and its order are those of the plain formulas,
+so the iterates are the same bits.
 """
 
 from __future__ import annotations
@@ -180,19 +185,23 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     threshold = eta_over_nu / (2.0 * L)
 
     x_prev = start.copy()      # x_{l-1}^{(1)}
-    x2 = start.copy()          # extrapolated point
+    x2 = start.copy()          # extrapolated point, rewritten in place
     t = 1.0
     ell = 0
     while True:
         ell += 1
-        grad = aug_lagrangian_grad(program, x2, c_over_nu, theta_b)
-        x1 = project(x2 - grad / L)
-        if np.linalg.norm(x1 - x2) <= threshold:
+        step = aug_lagrangian_grad(program, x2, c_over_nu, theta_b)
+        step /= L
+        x1 = project(np.subtract(x2, step, out=step))
+        np.subtract(x1, x2, out=step)
+        if math.sqrt(step.dot(step)) <= threshold:    # the 2-norm, as np.linalg.norm
             return x1, ell, "step_small"
         if ell > ell_max:
             return x1, ell, "iter_cap"
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        x2 = x1 + ((t - 1.0) / t_next) * (x1 - x_prev)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        np.subtract(x1, x_prev, out=x2)
+        x2 *= (t - 1.0) / t_next
+        x2 += x1
         x_prev = x1
         t = t_next
 

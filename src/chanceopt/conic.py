@@ -24,15 +24,28 @@ buffers that every call reuses, so the loop allocates little beyond its
 results; this is also why a program is not reentrant.  A 1x1 block's
 cone is the half-line, so its projection is a clip at zero with no
 eigendecomposition.
+
+On small blocks a projection costs more in numpy call overhead than in
+arithmetic, so the hot paths make few and cheap calls.  The projection
+calls LAPACK's batched eigensolver through the generalized ufunc that
+``np.linalg.eigh`` wraps, a private numpy name: the wrapper's type
+checks, error-state context and result tuple cost as much as the
+decomposition of the toy's 3x3 and 6x6 blocks, and the values are the
+same bits.  A failed decomposition leaves NaN eigenvalues, which one
+check per call turns into ``NumericalError``.  The simple set folds its
+pins into its clamp bounds (lower = upper = the pinned value) on first
+use, so its projection is one maximum and one minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
@@ -40,6 +53,7 @@ if TYPE_CHECKING:
     from .relaxation import ProgramMeta
 
 _SQRT2 = float(np.sqrt(2.0))
+_eigh = _umath_linalg.eigh_lo  # the batched LAPACK call behind np.linalg.eigh
 
 
 class Triangle(NamedTuple):
@@ -118,7 +132,7 @@ class SparseMatrix:
                  size: int) -> np.ndarray:
         if vec.shape != (length,):
             raise ValueError(f"vector of shape {vec.shape} for a {self.shape} product")
-        buf = np.take(vec, take, out=self._buf, mode="clip")  # "raise" copies `out`
+        buf = vec.take(take, out=self._buf, mode="clip")  # "raise" copies `out`
         buf *= self.data
         return np.bincount(put, weights=buf, minlength=size)
 
@@ -174,11 +188,19 @@ class SimpleSet:
     pinned_idx: np.ndarray
     pinned_val: np.ndarray
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        out = np.clip(x, self.lower, self.upper)
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clamp bounds with each pinned coordinate's interval its value."""
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if len(self.pinned_idx):
-            out[self.pinned_idx] = self.pinned_val
-        return out
+            lo[self.pinned_idx] = hi[self.pinned_idx] = self.pinned_val
+        return lo, hi
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        lo, hi = self._bounds
+        out = np.maximum(x, lo)
+        return np.minimum(out, hi, out=out)
 
     def diameter(self) -> float:
         """Exact Euclidean diameter (pinned coordinates contribute nothing)."""
@@ -198,8 +220,10 @@ class _ProjPlan(NamedTuple):
 
     gather: np.ndarray   # (batch,): stacked svec position of each batch entry
     divisor: np.ndarray  # (batch,): svec scale of that entry
-    groups: list         # (dim, batch view, reconstruction view) per dimension
+    halfline: Optional[tuple]  # (batch, reconstruction) views of the 1x1 blocks
+    groups: list         # (batch, eigenvalue, eigenvector, reconstruction) per dim > 1
     batch: np.ndarray    # gathered matrices, then the scaled eigenvectors
+    vals: np.ndarray     # eigenvalues of every block of dim > 1
     recon: np.ndarray    # projected matrices
     source: np.ndarray   # (stacked,): reconstruction position of each svec entry
     scale: np.ndarray    # (stacked,): its svec scale
@@ -276,11 +300,20 @@ class ConicProgram:
             spans.append((dim, n, off))
             off += n * dim * dim
         batch, recon = np.empty(off), np.empty(off)
-        groups = [(dim, batch[o:o + n * dim * dim].reshape(n, dim, dim),
-                   recon[o:o + n * dim * dim].reshape(n, dim, dim))
-                  for dim, n, o in spans]
+        vals = np.empty(sum(n * dim for dim, n, _ in spans if dim > 1))
+        halfline, groups, v = None, [], 0
+        for dim, n, o in spans:
+            mats = batch[o:o + n * dim * dim].reshape(n, dim, dim)
+            out = recon[o:o + n * dim * dim].reshape(n, dim, dim)
+            if dim == 1:
+                halfline = (mats, out)
+                continue
+            groups.append((mats, vals[v:v + n * dim].reshape(n, dim),
+                           np.empty((n, dim, dim)), out))
+            v += n * dim
         gather = np.concatenate(gather)
-        return _ProjPlan(gather, scale[gather], groups, batch, recon, source, scale)
+        return _ProjPlan(gather, scale[gather], halfline, groups, batch, vals, recon,
+                         source, scale)
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
@@ -292,24 +325,27 @@ class ConicProgram:
         reconstructions land in a second batch, and one gather through the
         upper-triangle index reads the result back.  1x1 blocks are
         clipped at zero without an eigendecomposition.  Only the returned
-        vector is newly allocated.
+        vector is newly allocated.  A non-finite eigenvalue (LAPACK failed,
+        or a block was not finite) raises ``NumericalError``.
         """
         plan = self._plan
         if s.shape != plan.source.shape:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
-        batch = np.take(s, plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
+        batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
         batch /= plan.divisor
-        for dim, mats, recon in plan.groups:
-            if dim == 1:
-                np.maximum(mats, 0.0, out=recon)
-                continue
-            try:
-                vals, vecs = np.linalg.eigh(mats)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"eigendecomposition failed on {len(mats)} blocks of dim "
-                    f"{dim} (finite={np.all(np.isfinite(mats))})"
-                ) from exc
+        for mats, vals, vecs, _ in plan.groups:
+            _eigh(mats, signature="d->dd", out=(vals, vecs))
+        if not math.isfinite(plan.vals.dot(plan.vals)):  # finite if every eigenvalue is
+            for mats, vals, _, _ in plan.groups:
+                if not np.isfinite(vals).all():
+                    raise NumericalError(
+                        f"eigendecomposition failed on {len(mats)} blocks of dim "
+                        f"{mats.shape[1]} (finite={np.all(np.isfinite(mats))})"
+                    )
+        if plan.halfline is not None:
+            mats, recon = plan.halfline
+            np.maximum(mats, 0.0, out=recon)
+        for mats, vals, vecs, recon in plan.groups:
             np.maximum(vals, 0.0, out=vals)
             np.multiply(vecs, vals[:, None, :], out=mats)
             np.matmul(mats, vecs.transpose(0, 2, 1), out=recon)

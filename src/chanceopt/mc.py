@@ -101,8 +101,10 @@ class UnionEvaluator:
         ``draws`` is read in blocks of columns of ``draws.T``, without a
         copy; the transposed view that :func:`~chanceopt.measures.sample`
         returns makes each coordinate's block contiguous.  A monomial row is
-        its first factor (copied, or raised by ``np.power``) times each later
-        factor in coordinate order, left to right.
+        the product of its factors in coordinate order, left to right: a
+        first factor of power 1 times the second in one ``np.multiply``
+        (or copied when it is the only one), any other first factor raised
+        by ``np.power``, then each later factor multiplied in place.
         """
         coef = self.coefficients(x)
         member = np.empty(draws.shape[0], dtype=bool)
@@ -115,11 +117,16 @@ class UnionEvaluator:
             for row, factors in zip(mono, self._factors):
                 if not factors:             # the constant monomial
                     row.fill(1.0)
-                elif factors[0][1] == 1:
-                    np.copyto(row, q[factors[0][0]])
+                    continue
+                (j, e), rest = factors[0], factors[1:]
+                if e != 1:
+                    np.power(q[j], e, out=row)
+                elif rest:                  # the first two factors in one pass
+                    (k, f), rest = rest[0], rest[1:]
+                    np.multiply(q[j], q[k] if f == 1 else q[k] ** f, out=row)
                 else:
-                    np.power(q[factors[0][0]], factors[0][1], out=row)
-                for j, e in factors[1:]:
+                    np.copyto(row, q[j])
+                for j, e in rest:
                     row *= q[j] if e == 1 else q[j] ** e
             values = np.matmul(coef, mono, out=self._values[:, :width])
             np.greater_equal(values, 0.0, out=nonneg)

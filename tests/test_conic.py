@@ -18,6 +18,16 @@ class TestSimpleSet:
         out = s.project(np.array([3.0, -4.0, -1.0]))
         assert np.allclose(out, [1.0, 0.5, 0.0])
 
+    def test_projection_is_clip_then_pin_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        lower, upper = -rng.uniform(0, 2, 40), rng.uniform(0, 2, 40)
+        s = SimpleSet(lower=lower, upper=upper, pinned_idx=np.array([0, 7, 39]),
+                      pinned_val=np.array([0.25, -1.5, 0.0]))
+        for x in (rng.uniform(-3, 3, 40), lower.copy(), upper.copy()):
+            want = np.clip(x, lower, upper)
+            want[s.pinned_idx] = s.pinned_val
+            assert s.project(x).tobytes() == want.tobytes()
+
     def test_diameter_skips_pins(self):
         s = SimpleSet(lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
                       pinned_idx=np.array([0]), pinned_val=np.array([1.0]))
@@ -65,11 +75,17 @@ def _projection_programs():
         "toy_d2": build_chance_sdp(util.toy_problem(), 2),
         "union_d2": build_chance_sdp(scale_problem(union), 2),
         "scalar_blocks": util.block_program(1, 3, 1, 2, 3),
+        "stacked": util.block_program(66, 1, 2, 3, 6, 11, 21, 66, 21, 11, 6, 3, 2, 1),
     }
 
 
 class TestProjectDual:
-    """The batched projection against the dense oracle on each block's slice."""
+    """The batched projection against the dense oracle on each block's slice.
+
+    The oracle is ``np.linalg.eigh``, the eigenvalues clipped at zero and
+    ``(V * lambda) @ V.T``, read back through svec: the same operations in
+    the same order, so the projection must match it bit for bit.
+    """
 
     @pytest.fixture(scope="class")
     def programs(self):
@@ -80,7 +96,7 @@ class TestProjectDual:
         assert dims["toy_d2"] == [6, 3, 1, 3, 6]
         assert dims["union_d2"] == [66, 11, 11, 66, 11, 11, 21, 66]
 
-    @pytest.mark.parametrize("name", ["toy_d2", "union_d2", "scalar_blocks"])
+    @pytest.mark.parametrize("name", ["toy_d2", "union_d2", "scalar_blocks", "stacked"])
     def test_matches_blockwise_oracle(self, programs, name):
         prog = programs[name]
         rng = np.random.default_rng(7)
@@ -88,13 +104,15 @@ class TestProjectDual:
         if name == "scalar_blocks":
             s[prog.block_slices[0]] = -0.7
             s[prog.block_slices[2]] = 0.4
-        got = prog.project_dual(s)
-        for blk, sl in zip(prog.blocks, prog.block_slices):
-            want = svec(util.reference_psd_project(util.unsvec(s[sl], blk.dim)))
-            assert np.max(np.abs(got[sl] - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        vectors = [s] + [rng.standard_normal(len(s)) for _ in range(2)]
+        got = [prog.project_dual(v) for v in vectors]   # later calls reuse the buffers
+        for v, out in zip(vectors, got):
+            for blk, sl in zip(prog.blocks, prog.block_slices):
+                want = svec(util.reference_psd_project(util.unsvec(v[sl], blk.dim)))
+                assert out[sl].tobytes() == want.tobytes()
         if name == "scalar_blocks":
-            assert got[prog.block_slices[0]][0] == 0.0
-            assert got[prog.block_slices[2]][0] == 0.4
+            assert got[0][prog.block_slices[0]][0] == 0.0
+            assert got[0][prog.block_slices[2]][0] == 0.4
 
     @pytest.mark.parametrize("name", ["toy_d2", "union_d2", "scalar_blocks"])
     def test_idempotent(self, programs, name):

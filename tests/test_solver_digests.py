@@ -1,0 +1,98 @@
+"""Solver trajectories are pinned bit for bit.
+
+Each case is the sha256 of ``trace.x.tobytes()`` for one solve, with the
+(inner iterations, inner stop) pair of every outer iteration: the toy at
+order 2 (the main solve, and the indicator refinement at its decoded
+decision), the toy in the Chebyshev basis, and the union at order 1, all
+with an inner cap of 2000.  A change to the solver or its kernels that
+moves one bit of an iterate changes a digest, even when every reported
+value stays within tolerance.  A change that keeps the arithmetic must
+leave every digest unchanged; a deliberate change to the trajectory must
+update them and say why.
+
+The digests hold for one rounding of LAPACK's symmetric eigensolver and
+BLAS's products, which vary with the library build and the CPU kernels
+it picks.  A probe hashes those calls, made straight through numpy on
+fixed inputs at the block sizes and vector lengths these solves use;
+where it reads differently from the machine the digests were recorded
+on (numpy 2.4.6 with its bundled OpenBLAS, x86-64), the solves cannot
+reproduce them and the test is skipped.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import util
+from chanceopt.alcc import SolverParams, alcc_solve
+from chanceopt.problems import load_bundled
+from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, decode
+
+_CAPPED = [(2001, "iter_cap")]
+
+DIGESTS = {
+    "toy_d2": (
+        "364b3f9ed336e6f4d17d22237e3caa791c7fdc87f467419a3a50d02acf208798",
+        [(34, "step_small"), (159, "step_small"), (335, "step_small"),
+         (1227, "step_small")] + 8 * _CAPPED,
+    ),
+    "toy_d2_indicator": (
+        "585a31133413d129dc4c385f1e79327fd83671eba49847504111ffec6c27dfa6",
+        [(23, "step_small"), (54, "step_small"), (61, "step_small"),
+         (541, "step_small"), (975, "step_small")] + 6 * _CAPPED,
+    ),
+    "toy_d2_chebyshev": (
+        "4ab46b7b2ddd07fdf22ed84ffc6a3f92d2384739ce90a408e71b79299fbeeae2",
+        [(60, "step_small"), (848, "step_small"), (836, "step_small")] + 9 * _CAPPED,
+    ),
+    "union_d1": (
+        "857488e47af6d740a42ba578ec9a41731c5193913d012b792e8927dd520063ef",
+        [(90, "step_small"), (251, "step_small")] + 6 * _CAPPED,
+    ),
+}
+
+PROBE = "e4b31601115a0097a5f0c57569ffe74d169ad39bf6d5cdeb8f5c13023f0f0a05"
+
+
+def _rounding_probe() -> str:
+    """sha256 of eigh, batched matmul and dot on fixed inputs of the solves' sizes."""
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for dim in (2, 3, 6, 11):
+        a = rng.standard_normal((3, dim, dim))
+        vals, vecs = np.linalg.eigh(a + a.transpose(0, 2, 1))
+        h.update(vals.tobytes())
+        h.update(np.matmul(vecs * vals[:, None, :], vecs.transpose(0, 2, 1)).tobytes())
+    for length in (5, 16, 20, 55, 153, 223):
+        v = rng.standard_normal(length)
+        h.update(v.dot(v).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def traces():
+    if _rounding_probe() != PROBE:
+        pytest.skip("LAPACK/BLAS round differently here than where the digests were recorded")
+    params = SolverParams(max_inner_cap=2000)
+    toy = util.toy_problem()
+    union, _ = load_bundled("example2_union")
+    main = build_chance_sdp(toy, 2)
+    out = {"toy_d2": alcc_solve(main, params)}
+    x_scaled = decode(main, out["toy_d2"].x).x_scaled
+    for name, program in (
+        ("toy_d2_indicator", build_refinement_sdp(toy, x_scaled, 2, mode="indicator")),
+        ("toy_d2_chebyshev", build_chance_sdp(toy, 2, basis="chebyshev")),
+        ("union_d1", build_chance_sdp(union, 1)),
+    ):
+        out[name] = alcc_solve(program, params)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_solver_trajectory_pinned(traces, name):
+    trace = traces[name]
+    sha, inner = DIGESTS[name]
+    assert [(r.inner_iters, r.inner_stop) for r in trace.records] == inner
+    assert trace.status == "converged"
+    assert hashlib.sha256(trace.x.tobytes()).hexdigest() == sha
