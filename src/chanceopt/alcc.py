@@ -26,9 +26,7 @@ so the iterates are the same bits.
 
 from __future__ import annotations
 
-import csv
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -98,7 +96,6 @@ class SolverTrace:
     status: str                      # converged | stalled | max_outer
     sigma_max: float
     sigma_converged: bool
-    wall_time: float = 0.0
 
     @property
     def outer_iterations(self) -> int:
@@ -115,17 +112,6 @@ class SolverTrace:
     @property
     def final_objective(self) -> float:
         return self.records[-1].objective if self.records else float("nan")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "nu", "inner_iters", "residual", "objective",
-                        "dual_norm", "inner_stop", "cap_limited"])
-            for r in self.records:
-                w.writerow([r.k, repr(r.nu), r.inner_iters, repr(r.residual),
-                            repr(r.objective), repr(r.dual_norm), r.inner_stop,
-                            int(r.cap_limited)])
-        return path
 
 
 class OperatorNorm(NamedTuple):
@@ -216,7 +202,6 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     ``stalled`` when it fires while still noticeably infeasible, and
     ``max_outer`` when the iteration budget is exhausted first.
     """
-    t0 = time.perf_counter()
     norm_info = operator_norm(program, seed=params.seed)
     sigma = norm_info.sigma
     L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
@@ -253,7 +238,7 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
         )
         if not np.all(np.isfinite(x_new)):
             trace = SolverTrace(records, x, theta, "numerical_error", sigma,
-                                norm_info.converged, time.perf_counter() - t0)
+                                norm_info.converged)
             err = NumericalError(f"non-finite iterate at outer iteration {k}")
             err.trace = trace
             raise err
@@ -276,5 +261,4 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
             status = "converged" if residual <= 1e-3 * resid_scale else "stalled"
             break
 
-    return SolverTrace(records, x, theta, status, sigma, norm_info.converged,
-                       time.perf_counter() - t0)
+    return SolverTrace(records, x, theta, status, sigma, norm_info.converged)

@@ -26,13 +26,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ChanceOptError, ProblemFormatError, ResourceError
 from .moments import BASES
 from .pipeline import baseline_grid, input_hash, run_pipeline
-from .problem_io import check_refine_index, parse, parse_refine_mode
+from .problem_io import check_refine_index, parse, set_option
 from .problems import BUNDLED, bundled_path
 
 EXIT_OK = 0
@@ -135,21 +134,10 @@ def _apply_flags(problem, options, args):
     """``options`` with each given flag's value, validated like a file value."""
     for flag, section, name in FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        changes = {name: value}
-        if name == "refine_mode":
-            mode, index = parse_refine_mode(value, flag)
-            check_refine_index(problem, index, flag)
-            changes = {"refine_mode": mode, "refine_index": index}
-        try:
-            if section is None:
-                options = replace(options, **changes)
-            else:
-                part = replace(getattr(options, section), **changes)
-                options = replace(options, **{section: part})
-        except ValueError as exc:
-            raise ProblemFormatError(str(exc), flag)
+        if value is not None:
+            options = set_option(options, section, name, value, flag)
+    if args.refine_mode is not None:
+        check_refine_index(problem, options.refine[1], "--refine-mode")
     return options
 
 

@@ -56,6 +56,11 @@ _SQRT2 = float(np.sqrt(2.0))
 _eigh = _umath_linalg.eigh_lo  # the batched LAPACK call behind np.linalg.eigh
 
 
+def _eigh_failed(mats: np.ndarray) -> NumericalError:
+    return NumericalError(f"eigendecomposition failed on {len(mats)} blocks of dim "
+                          f"{mats.shape[1]} (finite={np.all(np.isfinite(mats))})")
+
+
 class Triangle(NamedTuple):
     """The svec layout of a dim x dim block: its upper triangle, row-major."""
 
@@ -326,22 +331,23 @@ class ConicProgram:
         upper-triangle index reads the result back.  1x1 blocks are
         clipped at zero without an eigendecomposition.  Only the returned
         vector is newly allocated.  A non-finite eigenvalue (LAPACK failed,
-        or a block was not finite) raises ``NumericalError``.
+        or a block was not finite) raises ``NumericalError``, also where
+        warnings are errors and LAPACK's warning comes first.
         """
         plan = self._plan
         if s.shape != plan.source.shape:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
         batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
         batch /= plan.divisor
-        for mats, vals, vecs, _ in plan.groups:
-            _eigh(mats, signature="d->dd", out=(vals, vecs))
+        try:
+            for mats, vals, vecs, _ in plan.groups:
+                _eigh(mats, signature="d->dd", out=(vals, vecs))
+        except RuntimeWarning:  # LAPACK's "invalid value" warning, raised as an error
+            raise _eigh_failed(mats) from None
         if not math.isfinite(plan.vals.dot(plan.vals)):  # finite if every eigenvalue is
             for mats, vals, _, _ in plan.groups:
                 if not np.isfinite(vals).all():
-                    raise NumericalError(
-                        f"eigendecomposition failed on {len(mats)} blocks of dim "
-                        f"{mats.shape[1]} (finite={np.all(np.isfinite(mats))})"
-                    )
+                    raise _eigh_failed(mats)
         if plan.halfline is not None:
             mats, recon = plan.halfline
             np.maximum(mats, 0.0, out=recon)

@@ -16,6 +16,7 @@ times the random moment at beta, with decision coordinates first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -33,10 +34,11 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ModelError("uniform support must be finite")
         if not self.lo < self.hi:
             raise ModelError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ModelError(f"uniform needs a finite width hi - lo, got "
+                             f"[{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,8 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     for dist, row in zip(spec.coords, out):
         if isinstance(dist, Uniform):
             # numpy's uniform is lo + (hi - lo) * u, rounded step by step
-            width = dist.hi - dist.lo
-            if not np.isfinite(width):
-                raise OverflowError("high - low range exceeds valid bounds")
             rng.random(out=row)
-            row *= width
+            row *= dist.hi - dist.lo
             row += dist.lo
         else:   # Beta: check_samplable turned explicit moment lists away
             row[:] = rng.beta(dist.alpha, dist.beta, size=count)

@@ -22,7 +22,7 @@ from . import __version__
 from .alcc import SolverTrace, alcc_solve
 from .mc import McConfig, estimate_probability, grid_search
 from .measures import check_samplable
-from .problem_io import RunOptions, emit_options
+from .problem_io import RunOptions
 from .relaxation import (
     ChanceProblem,
     ScaledProblem,
@@ -113,26 +113,25 @@ class RunReport:
             "command": self.command,
             "status": self.status,
             "input_sha256": self.source_hash,
-            "options": emit_options(self.options),
+            "options": asdict(self.options),
             "results": [r.as_dict() for r in self.results],
         }
 
-    def write(self, out_dir, stem: str | None = None) -> Path:
+    def write(self, out_dir) -> Path:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if stem is None:
-            # a sweep's stem never names an order, however many finished
-            stem = self.name
-            if self.command != "sweep" and self.results:
-                stem += f"_d{self.results[0].order}"
+        # a sweep's stem never names an order, however many finished
+        stem = self.name
+        if self.command != "sweep" and self.results:
+            stem += f"_d{self.results[0].order}"
         path = out_dir / f"{stem}_report.json"
         path.write_text(json.dumps(self.as_dict(), indent=2) + "\n", encoding="utf-8")
         return path
 
-    def write_series(self, out_dir, stem: str | None = None) -> Path:
+    def write_series(self, out_dir) -> Path:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{stem or self.name}_series.csv"
+        path = out_dir / f"{self.name}_series.csv"
         path.write_text(series_csv_text(self.results), encoding="utf-8")
         return path
 
@@ -182,12 +181,11 @@ def _solve_order(scaled: ScaledProblem, options: RunOptions, order: int,
         ind = build_refinement_sdp(scaled, sol.x_scaled, order, mode="indicator",
                                    basis=options.basis)
         res.p_refine_indicator = _refine_mass(res, ind, options, "indicator")
-        if options.refine_mode != "indicator":
-            wt = build_refinement_sdp(
-                scaled, sol.x_scaled, order, mode=options.refine_mode,
-                weight_index=options.refine_index, basis=options.basis,
-            )
-            res.p_refine_weighted = _refine_mass(res, wt, options, options.refine_mode)
+        mode, index = options.refine
+        if mode != "indicator":
+            wt = build_refinement_sdp(scaled, sol.x_scaled, order, mode=mode,
+                                      weight_index=index, basis=options.basis)
+            res.p_refine_weighted = _refine_mass(res, wt, options, mode)
         res.wall_times["refine"] = time.perf_counter() - t0
 
     if verify:

@@ -75,21 +75,6 @@ def exponents(n: int, d: int) -> tuple[Exponent, ...]:
 
 
 @lru_cache(maxsize=None)
-def _slice_index(n: int, t: int) -> dict[Exponent, int]:
-    return {alpha: i for i, alpha in enumerate(_degree_slice(n, t))}
-
-
-def monomial_rank(alpha: Exponent) -> int:
-    """0-based grevlex rank of an exponent; the zero exponent has rank 0."""
-    alpha = tuple(alpha)
-    if any(e < 0 for e in alpha):
-        raise ValueError(f"negative entry in exponent {alpha}")
-    n, t = len(alpha), sum(alpha)
-    below = basis_size(n, t - 1) if t > 0 else 0
-    return below + _slice_index(n, t)[alpha]
-
-
-@lru_cache(maxsize=None)
 def exponent_array(n: int, d: int) -> np.ndarray:
     """Grevlex-ordered exponents as an int64 array of shape (S_{n,d}, n)."""
     arr = np.array(exponents(n, d), dtype=np.int64).reshape(basis_size(n, d), n)

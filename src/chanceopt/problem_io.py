@@ -16,26 +16,33 @@ Exponents list the decision variables first, then the random ones.
 Coordinates are written in user units; scaling to the internal box is the
 tool's job.  ``options`` may be partial; its keys are the fields of
 :class:`RunOptions` (``solver`` and ``mc`` nest ``SolverParams`` and
-``McConfig``), and the dataclasses, not the parser, decide which values are
-valid, for file values and CLI flags alike.
+``McConfig``).  ``refine_mode`` is ``indicator``, ``product`` or
+``single:<j>`` (``j`` a 0-based polynomial index every set must have).
+
+The parser checks only the document's shape and JSON types.  Which values
+are valid is decided by the types that own them: the marginals
+(``Uniform``, ``Beta``, ``ExplicitMoments``), ``ChanceProblem`` and the
+options dataclasses.  :func:`set_option` is the one path by which a file
+value or a CLI flag reaches :class:`RunOptions`; it names where an invalid
+value came from.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .alcc import SolverParams
-from .errors import ProblemFormatError
+from .errors import ModelError, ProblemFormatError
 from .mc import McConfig
 from .measures import Beta, DistributionSpec, ExplicitMoments, Uniform
 from .moments import BASES, MONOMIAL
 from .poly import Polynomial, grevlex_key
-from .relaxation import REFINE_MODES, ChanceProblem
+from .relaxation import ChanceProblem
 
 SCHEMA = "chanceopt/1"
 
@@ -47,8 +54,7 @@ class RunOptions:
     order: int = 0                  # 0 means "use the minimum admissible order"
     omega_r: float = 0.01
     basis: str = MONOMIAL
-    refine_mode: str = "product"
-    refine_index: int | None = None  # 0-based, for refine_mode == "single"
+    refine_mode: str = "product"    # indicator | product | single:<j>, j 0-based
     solver: SolverParams = field(default_factory=SolverParams)
     mc: McConfig = field(default_factory=McConfig)
 
@@ -61,10 +67,38 @@ class RunOptions:
             raise ValueError("omega_r must be nonnegative")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
-        if self.refine_mode not in REFINE_MODES:
-            raise ValueError(f"refine_mode must be one of {REFINE_MODES}")
-        if (self.refine_index is None) == (self.refine_mode == "single"):
-            raise ValueError("refine_index is set exactly when refine_mode is single")
+        if self.refine_mode.startswith("single:"):
+            try:
+                index = int(self.refine_mode[len("single:"):])
+            except ValueError:
+                index = -1
+            if index < 0:
+                raise ValueError(f"refine_mode {self.refine_mode!r} needs an integer "
+                                 f"index >= 0 after single:")
+            object.__setattr__(self, "refine_mode", f"single:{index}")
+        elif self.refine_mode not in ("indicator", "product"):
+            raise ValueError(f"unknown refine_mode {self.refine_mode!r} "
+                             f"(expected indicator, product, or single:<j>)")
+
+    @property
+    def refine(self) -> tuple[str, int | None]:
+        """``refine_mode`` as the refinement builder's mode and weight index."""
+        mode, _, index = self.refine_mode.partition(":")
+        return mode, int(index) if index else None
+
+
+def set_option(options: RunOptions, section: str | None, name: str, value,
+               where: str) -> RunOptions:
+    """``options`` with field ``name`` of itself, or of its ``solver`` or
+    ``mc`` ``section``, set to ``value``; an invalid value is a format error
+    at ``where``, the JSON path or the flag it came from."""
+    try:
+        if section is None:
+            return replace(options, **{name: value})
+        part = replace(getattr(options, section), **{name: value})
+        return replace(options, **{section: part})
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc), where) from None
 
 
 def _expect(cond: bool, message: str, path: str):
@@ -84,32 +118,27 @@ def _num(value, message: str, path: str) -> float:
 
 
 def _parse_distribution(entry, path: str):
+    """The marginal an entry describes; the marginal's type checks its values."""
     _expect(isinstance(entry, dict), "distribution entry must be an object", path)
     kind = entry.get("type")
-    params = entry.get("params", {})
-    _expect(isinstance(params, dict), "params must be an object", f"{path}.params")
-    if kind == "uniform":
-        lo = _num(params.get("lo"), "uniform needs numeric lo", f"{path}.params.lo")
-        hi = _num(params.get("hi"), "uniform needs numeric hi", f"{path}.params.hi")
-        _expect(lo < hi, f"uniform needs lo < hi, got [{lo}, {hi}]", f"{path}.params")
-        return Uniform(lo, hi)
-    if kind == "beta":
-        a = _num(params.get("alpha"), "beta needs numeric alpha", f"{path}.params.alpha")
-        b = _num(params.get("beta"), "beta needs numeric beta", f"{path}.params.beta")
-        _expect(a > 0 and b > 0, "beta shape parameters must be positive", f"{path}.params")
-        return Beta(a, b)
-    if kind == "moments":
-        vals = params.get("values")
-        _expect(isinstance(vals, list) and len(vals) >= 1,
-                "moments needs a nonempty values list", f"{path}.params.values")
-        vals = [_num(v, "moment must be numeric", f"{path}.params.values[{i}]")
-                for i, v in enumerate(vals)]
-        _expect(vals[0] == 1.0, "moment list must start with total mass 1",
-                f"{path}.params.values[0]")
-        _expect(all(abs(v) <= 1.0 for v in vals),
-                "moments of a measure on [-1,1] must lie in [-1,1]",
-                f"{path}.params.values")
-        return ExplicitMoments(tuple(vals))
+    params, ppath = entry.get("params", {}), f"{path}.params"
+    _expect(isinstance(params, dict), "params must be an object", ppath)
+    try:
+        if kind == "uniform":
+            return Uniform(_num(params.get("lo"), "uniform needs numeric lo", f"{ppath}.lo"),
+                           _num(params.get("hi"), "uniform needs numeric hi", f"{ppath}.hi"))
+        if kind == "beta":
+            return Beta(
+                _num(params.get("alpha"), "beta needs numeric alpha", f"{ppath}.alpha"),
+                _num(params.get("beta"), "beta needs numeric beta", f"{ppath}.beta"))
+        if kind == "moments":
+            vals = params.get("values")
+            _expect(isinstance(vals, list), "moments needs a values list", f"{ppath}.values")
+            return ExplicitMoments(tuple(
+                _num(v, "moment must be numeric", f"{ppath}.values[{i}]")
+                for i, v in enumerate(vals)))
+    except ModelError as exc:
+        raise ProblemFormatError(str(exc), ppath) from None
     raise ProblemFormatError(
         f"unsupported distribution type {kind!r} (expected uniform, beta, or moments)",
         f"{path}.type",
@@ -139,24 +168,6 @@ def _parse_polynomial(entry, num_vars: int, path: str) -> Polynomial:
     return Polynomial(num_vars, terms)
 
 
-def parse_refine_mode(text: str, path: str = "$.options.refine_mode"):
-    """Split an indicator/product/single:<j> mode string (j is 0-based)."""
-    if text in ("indicator", "product"):
-        return text, None
-    if text.startswith("single:"):
-        try:
-            idx = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ProblemFormatError(
-                f"bad single index in refine mode {text!r}", path)
-        _expect(idx >= 0, "single index must be >= 0", path)
-        return "single", idx
-    raise ProblemFormatError(
-        f"unknown refine mode {text!r} (expected indicator, product, or single:<j>)",
-        path,
-    )
-
-
 def check_refine_index(problem: ChanceProblem, index: int | None, path: str) -> None:
     """Reject a ``single:<j>`` index that some set has no polynomial for."""
     if index is None:
@@ -166,32 +177,25 @@ def check_refine_index(problem: ChanceProblem, index: int | None, path: str) -> 
                 f"has {len(s)} polynomial(s)", path)
 
 
-def _parse_fields(cls, entry, path: str):
-    """Build the options dataclass ``cls`` from ``entry``, checking each
-    value's JSON type against the field default's (``solver``, ``mc`` recurse)."""
+def _parse_fields(options: RunOptions, section: str | None, entry, path: str):
+    """``options`` with the values of ``entry``, each checked against its
+    field default's JSON type (``solver`` and ``mc`` recurse as sections)."""
+    like = options if section is None else getattr(options, section)
     _expect(isinstance(entry, dict), "options must be an object", path)
-    default = cls()
-    known = {f.name for f in fields(cls)} - {"refine_index"}
-    unknown = set(entry) - known
+    unknown = set(entry) - {f.name for f in fields(like)}
     _expect(not unknown, f"unknown option(s) {sorted(unknown)}", path)
-    kwargs = {}
     for key, value in entry.items():
-        like, kpath = getattr(default, key), f"{path}.{key}"
-        if is_dataclass(like):
-            value = _parse_fields(type(like), value, kpath)
-        elif isinstance(like, float):
+        default, kpath = getattr(like, key), f"{path}.{key}"
+        if is_dataclass(default):
+            options = _parse_fields(options, key, value, kpath)
+            continue
+        if isinstance(default, float):
             value = _num(value, f"{key} must be numeric", kpath)
         else:  # int or str; a bool is not an int here
-            _expect(type(value) is type(like), f"{key} must be a JSON "
-                    f"{'integer' if isinstance(like, int) else 'string'}", kpath)
-        kwargs[key] = value
-    if "refine_mode" in kwargs:
-        kwargs["refine_mode"], kwargs["refine_index"] = parse_refine_mode(
-            kwargs["refine_mode"], f"{path}.refine_mode")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc), path)
+            _expect(type(value) is type(default), f"{key} must be a JSON "
+                    f"{'integer' if isinstance(default, int) else 'string'}", kpath)
+        options = set_option(options, section, key, value, path)
+    return options
 
 
 def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
@@ -236,12 +240,12 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
             for j, pjson in enumerate(s)
         ))
 
-    options = _parse_fields(RunOptions, doc.get("options", {}), "$.options")
+    options = _parse_fields(RunOptions(), None, doc.get("options", {}), "$.options")
     problem = ChanceProblem(
         name=name, n=n, m=m, sets=tuple(parsed_sets),
         dist=DistributionSpec(coords), decision_box=tuple(parsed_box),
     )
-    check_refine_index(problem, options.refine_index, "$.options.refine_mode")
+    check_refine_index(problem, options.refine[1], "$.options.refine_mode")
     return problem, options
 
 
@@ -273,15 +277,6 @@ def _emit_distribution(dist) -> dict:
     return {"type": "moments", "params": {"values": list(dist.values)}}
 
 
-def emit_options(options: RunOptions) -> dict:
-    """The file form of ``options``, every field written out."""
-    doc = asdict(options)
-    index = doc.pop("refine_index")
-    if index is not None:
-        doc["refine_mode"] = f"single:{index}"
-    return doc
-
-
 def _emit_polynomial(p: Polynomial) -> list:
     return [
         {"exponents": list(alpha), "coeff": coef}
@@ -301,7 +296,7 @@ def emit_document(problem: ChanceProblem, options: RunOptions | None = None) -> 
         "sets": [[_emit_polynomial(p) for p in s] for s in problem.sets],
     }
     if options is not None:
-        doc["options"] = emit_options(options)
+        doc["options"] = asdict(options)
     return doc
 
 

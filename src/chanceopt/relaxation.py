@@ -56,7 +56,13 @@ from .moments import (
     moment_block_terms,
     terms_matrix,
 )
-from .poly import Polynomial, affine_substitutions, basis_size, monomial_rank
+from .poly import (
+    Polynomial,
+    affine_substitutions,
+    basis_size,
+    encode_exponents,
+    lookup_ranks,
+)
 
 REFINE_MODES = ("indicator", "product", "single")
 
@@ -98,9 +104,9 @@ class ChanceProblem:
         if len(box) != self.n:
             raise DimensionError(f"decision box has {len(box)} entries, expected {self.n}")
         for i, (lo, hi) in enumerate(box):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ModelError(f"decision box entry {i} must be a finite interval, "
-                                 f"got [{lo}, {hi}]")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ModelError(f"decision box entry {i} must be an interval of finite "
+                                 f"width, got [{lo}, {hi}]")
         if self.dist.m != self.m:
             raise DimensionError(
                 f"{self.dist.m} distribution entries for {self.m} random variables"
@@ -306,8 +312,10 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
 
     objective = np.zeros(num_scalars)
     for sl, w in zip(set_slices, weights):
-        for gamma, coef in basis_coeffs(w, basis).items():
-            objective[sl.start + monomial_rank(gamma)] -= coef
+        coeffs = basis_coeffs(w, basis)
+        gammas = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), num_vars)
+        ranks = lookup_ranks(encode_exponents(gammas, 2 * order + 1), num_vars, 2 * order)
+        objective[sl.start + ranks] -= np.fromiter(coeffs.values(), float, len(coeffs))
 
     pinned = [] if yx_slice is None else [yx_slice.start]
     simple = SimpleSet(

@@ -255,14 +255,6 @@ class TestAlccSolve:
         for a, b in zip(tail[:-1], tail[1:]):
             assert b <= a + 1e-10
 
-    def test_trace_csv(self, tmp_path):
-        prog = scalar_block_program(np.eye(2), [-1.0, -1.0], [0.1, 0.1])
-        trace = alcc_solve(prog, SolverParams(tol=1e-5, max_outer=4))
-        path = trace.to_csv(tmp_path / "trace.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("k,nu,inner_iters,residual")
-        assert len(lines) == trace.outer_iterations + 1
-
     def test_non_finite_iterate_raises_with_trace(self):
         from chanceopt.errors import NumericalError
         prog = scalar_block_program([[1.0]], [0.5], [float("nan")])

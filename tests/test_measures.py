@@ -237,10 +237,9 @@ class TestSampling:
                 assert np.array_equal(draws, reference_sample(spec, count, seed))
 
     def test_uniform_range_overflow(self):
-        spec = DistributionSpec((Uniform(-1e308, 1e308),))
-        for draw in (sample, reference_sample):
-            with pytest.raises(OverflowError):
-                draw(spec, 10, 0)
+        # numpy's own sampler overflows on this width; the law is rejected first
+        with pytest.raises(ModelError, match="finite width"):
+            Uniform(-1e308, 1e308)
 
     def test_explicit_moments_cannot_sample(self):
         spec = DistributionSpec((ExplicitMoments((1.0, 0.0, 0.3)),))

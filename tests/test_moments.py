@@ -15,7 +15,7 @@ from chanceopt.moments import (
     poly_cheb_coeffs,
 )
 from chanceopt.measures import DistributionSpec, Uniform
-from chanceopt.poly import Polynomial, basis_size, exponents, monomial_rank
+from chanceopt.poly import Polynomial, basis_size, exponents
 from chanceopt.problems import load_bundled
 from chanceopt.relaxation import ChanceProblem, build_chance_sdp, scale_problem
 from util import (
@@ -27,6 +27,7 @@ from util import (
     exact_cheb_localizer_entry,
     localizing_matrix,
     moment_matrix,
+    monomial_rank,
     reference_measure_matrix,
     toy_problem,
     ulps_off,

@@ -16,7 +16,7 @@ from chanceopt.mc import McConfig
 from chanceopt.measures import DistributionSpec, ExplicitMoments, Uniform
 from chanceopt.pipeline import run_pipeline, series_csv_text
 from chanceopt.poly import Polynomial
-from chanceopt.problem_io import RunOptions, write_problem
+from chanceopt.problem_io import RunOptions, emit_document, parse_document, write_problem
 from chanceopt.relaxation import ChanceProblem
 
 
@@ -207,11 +207,55 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    # the report's options block, byte for byte: refine_mode in its file form
+    SINGLE_OPTIONS_BLOCK = (
+        '"options": {\n    "order": 1,\n    "omega_r": 0.01,\n    "basis": "monomial",'
+        '\n    "refine_mode": "single:1",\n    "solver": {\n      "nu0": 1.0,'
+        '\n      "beta": 3.0,\n      "c": 0.5,\n      "alpha0": 1.0,\n      "tol": 0.0001,'
+        '\n      "max_outer": 14,\n      "max_inner_cap": 20000,\n      "seed": 0\n    },'
+        '\n    "mc": {\n      "samples": 100000,\n      "grid_points": 41,'
+        '\n      "seed": 0\n    }\n  },\n  "results"'
+    )
+
     def test_refine_single_index_in_range_runs(self, tmp_path):
         assert main(["refine", "example1_pair", "--order", "1",
                      "--refine-mode", "single:1", "--out-dir", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "example1_pair_d1_report.json").read_text())
-        assert doc["results"][0]["p_refine_weighted"] is not None
+        text = (tmp_path / "example1_pair_d1_report.json").read_text()
+        assert json.loads(text)["results"][0]["p_refine_weighted"] is not None
+        assert self.SINGLE_OPTIONS_BLOCK in text
+
+    def test_refine_mode_flag_equals_file_value(self):
+        from chanceopt.cli import _apply_flags, _build_parser
+        from chanceopt.problems import bundled_path
+        doc = json.loads(bundled_path("example1_pair").read_text())
+        problem, options = parse_document(doc)
+        args = _build_parser().parse_args(["refine", "example1_pair",
+                                           "--refine-mode", "single:0"])
+        doc["options"]["refine_mode"] = "single:0"
+        assert _apply_flags(problem, options, args) == parse_document(doc)[1]
+
+    @pytest.mark.parametrize("command", ["verify", "grid"])
+    @pytest.mark.parametrize("entry,where", [
+        ("distributions", "input error: $.distributions[0].params: uniform needs a "
+                          "finite width"),
+        ("decision_box", "error: decision box entry 0 must be an interval of finite "
+                         "width"),
+    ], ids=["uniform", "box"])
+    def test_overflowing_width_exit_two(self, entry, where, command, tmp_path):
+        # hi - lo overflows to inf: an input error, found before any sampling
+        doc = emit_document(util.toy_problem())
+        if entry == "distributions":
+            doc["distributions"][0]["params"] = {"lo": -1e308, "hi": 1e308}
+        else:
+            doc["decision_box"][0] = [-1e308, 1e308]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        proc = fresh_python("-m", "chanceopt", command, str(path), "--grid", "3",
+                            "--samples", "100", "--out-dir", str(tmp_path / "out"),
+                            cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(where)
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         # a problem argument naming no readable problem file (missing, a

@@ -14,7 +14,6 @@ from chanceopt.problem_io import (
     emit_document,
     parse,
     parse_document,
-    parse_refine_mode,
     write_problem,
 )
 
@@ -96,7 +95,7 @@ class TestParse:
         assert options.order == 3
         assert options.omega_r == 0.1
         assert options.basis == "chebyshev"
-        assert options.refine_mode == "single" and options.refine_index == 1
+        assert options.refine_mode == "single:1" and options.refine == ("single", 1)
         assert options.solver.nu0 == 0.05 and options.solver.max_outer == 9
         assert options.mc.samples == 1234 and options.mc.seed == 5
 
@@ -143,11 +142,31 @@ class TestParse:
     @pytest.mark.parametrize("kwargs", [
         {"refine_mode": "fancy"},
         {"refine_mode": "single"},
-        {"refine_mode": "product", "refine_index": 1},
+        {"refine_mode": "product:1"},
+        {"refine_mode": "single:x"},
+        {"refine_mode": "single:-1"},
+        {"refine_mode": "indicator:"},
     ])
     def test_refine_index_set_exactly_for_single(self, kwargs):
         with pytest.raises(ValueError, match="refine_"):
             RunOptions(**kwargs)
+
+    @pytest.mark.parametrize("dist", [
+        {"type": "uniform", "params": {"lo": 1.0, "hi": -1.0}},
+        {"type": "uniform", "params": {"lo": -1e308, "hi": 1e308}},
+        {"type": "beta", "params": {"alpha": 0.0, "beta": 2.0}},
+        {"type": "beta", "params": {"alpha": 2.0, "beta": -1}},
+        {"type": "moments", "params": {"values": []}},
+        {"type": "moments", "params": {"values": [0.5, 0.1]}},
+        {"type": "moments", "params": {"values": [1.0, 1.5]}},
+    ], ids=["uniform_order", "uniform_width", "beta_alpha", "beta_beta",
+            "moments_empty", "moments_mass", "moments_range"])
+    def test_bad_distribution_names_params(self, dist):
+        # the marginal's own check fires, reported at the entry's params
+        doc = minimal_doc()
+        doc["distributions"][0] = dist
+        with pytest.raises(ProblemFormatError, match=r"^\$\.distributions\[0\]\.params: "):
+            parse_document(doc)
 
     def test_bad_json_file(self, tmp_path):
         # a file that cannot be read names its path; None makes a directory
@@ -165,20 +184,22 @@ class TestParse:
                 parse(path)
 
     def test_refine_mode_strings(self):
-        assert parse_refine_mode("indicator") == ("indicator", None)
-        assert parse_refine_mode("product") == ("product", None)
-        assert parse_refine_mode("single:2") == ("single", 2)
-        with pytest.raises(ProblemFormatError):
-            parse_refine_mode("fancy")
-        with pytest.raises(ProblemFormatError):
-            parse_refine_mode("single:x")
+        assert RunOptions(refine_mode="indicator").refine == ("indicator", None)
+        assert RunOptions(refine_mode="product").refine == ("product", None)
+        assert RunOptions(refine_mode="single:2").refine == ("single", 2)
+        assert RunOptions(refine_mode="single:+02").refine_mode == "single:2"
+        doc = minimal_doc()
+        for mode in ("fancy", "single:x"):
+            doc["options"] = {"refine_mode": mode}
+            with pytest.raises(ProblemFormatError, match=r"^\$\.options: .*refine_mode"):
+                parse_document(doc)
 
 
 class TestRoundTrip:
     def test_emit_parse_identity(self):
         problem = util.toy_problem()
         options = RunOptions(order=2, omega_r=0.05, basis="chebyshev",
-                             refine_mode="single", refine_index=0,
+                             refine_mode="single:0",
                              solver=SolverParams(nu0=0.5, tol=1e-4),
                              mc=McConfig(samples=777, grid_points=11, seed=2))
         doc = emit_document(problem, options)

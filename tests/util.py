@@ -41,9 +41,19 @@ from chanceopt.poly import (
     exponent_array,
     exponents,
     grevlex_key,
-    monomial_rank,
 )
 from chanceopt.relaxation import ChanceProblem
+
+
+@lru_cache(maxsize=None)
+def _ranks(n: int, d: int) -> dict:
+    return {alpha: i for i, alpha in enumerate(exponents(n, d))}
+
+
+def monomial_rank(alpha) -> int:
+    """Rank oracle: an exponent's index in the grevlex list up to its degree."""
+    alpha = tuple(alpha)
+    return _ranks(len(alpha), sum(alpha))[alpha]
 
 
 def literal_grevlex_compare(a, b):
