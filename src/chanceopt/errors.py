@@ -14,7 +14,15 @@ class OrderError(ChanceOptError):
 
 
 class ModelError(ChanceOptError):
-    """The problem statement itself is invalid (unbounded box, bad set, ...)."""
+    """The problem statement itself is invalid (unbounded box, bad set, ...).
+
+    ``field`` names the offending entry of the problem when there is one,
+    e.g. ``sets[0][1]`` or ``decision_box[0]``, and is ``""`` otherwise.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class ResourceError(ChanceOptError):

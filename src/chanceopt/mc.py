@@ -6,7 +6,9 @@ in several sets counts once); membership is non-strict, so boundary
 points count as inside.  The grid search evaluates that estimator on a
 uniform grid over the decision box with a fixed sample budget per point
 and per-point derived seeds, so results do not depend on evaluation
-order.
+order: the points are split into contiguous ranges, one per usable CPU,
+evaluated by forked children into one shared array where the platform
+can fork and in-process elsewhere, with identical results.
 
 Membership is decided by a :class:`UnionEvaluator`, compiled once per
 problem.  Its term table stacks every polynomial of every set, set by set,
@@ -25,14 +27,15 @@ draws.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ModelError, ResourceError
-from .measures import sample
+from .errors import ChanceOptError, DimensionError, ModelError, ResourceError
+from .measures import check_samplable, sample
 from .poly import grevlex_key
 from .relaxation import ChanceProblem
 
@@ -157,11 +160,53 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     return est, half
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def grid_workers(points: int) -> int:
+    """Processes :func:`grid_search` evaluates a grid of ``points`` points on.
+
+    One per usable CPU, at most one per point; 1 (in-process) where the
+    platform cannot fork or the caller is a daemonic process, which may
+    not have children.
+    """
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(_usable_cpus(), points)
+
+
+def _estimate_range(problem: ChanceProblem, cfg: McConfig, axes: list,
+                    estimates: np.ndarray, start: int, stop: int) -> None:
+    """Write the estimate of every grid point ``start <= flat < stop`` into
+    ``estimates[flat]``; ``flat`` counts grid indices in lexicographic
+    order, the last coordinate fastest."""
+    evaluator = UnionEvaluator(problem)
+    points = product(range(cfg.grid_points), repeat=problem.n)
+    for flat, idx in enumerate(islice(points, start, stop), start):
+        x = np.array([axes[i][idx[i]] for i in range(problem.n)])
+        # per-point derived seed: independent of evaluation order and of
+        # how the points are split between workers
+        draws = sample(problem.dist, cfg.samples,
+                       np.random.SeedSequence([cfg.seed, flat]))
+        estimates[flat] = np.count_nonzero(evaluator.membership(x, draws)) / cfg.samples
+
+
 def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, float]:
     """Exhaustive baseline: best grid point of the decision box.
 
     Ties are broken toward the lowest grid index in graded reverse
-    lexicographic order, making the result deterministic.
+    lexicographic order, making the result deterministic.  The points are
+    split into :func:`grid_workers` contiguous ranges; all but the first
+    are evaluated by forked children writing into one shared array, so
+    the result is the same for any number of workers.
     """
     total = cfg.grid_points**problem.n
     if total > _GRID_GUARD:
@@ -169,19 +214,40 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
             f"{cfg.grid_points}^{problem.n} = {total} grid evaluations exceed "
             f"the {_GRID_GUARD} guard; use a coarser grid"
         )
+    check_samplable(problem.dist)
+    import mmap
+    import multiprocessing
+
     axes = [np.linspace(lo, hi, cfg.grid_points) for lo, hi in problem.decision_box]
-    evaluator = UnionEvaluator(problem)
+    workers = grid_workers(total)
+    bounds = [total * w // workers for w in range(workers + 1)]
+    # an anonymous mapping is shared with forked children, not copied
+    estimates = np.frombuffer(mmap.mmap(-1, 8 * total))
+    estimates.fill(np.nan)
+    children = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            child = multiprocessing.get_context("fork").Process(
+                target=_estimate_range, args=(problem, cfg, axes, estimates, start, stop))
+            child.start()
+            children.append(child)      # only started children are ended and joined
+        _estimate_range(problem, cfg, axes, estimates, bounds[0], bounds[1])
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+    for child, start, stop in zip(children, bounds[1:-1], bounds[2:]):
+        if child.exitcode != 0:
+            raise ChanceOptError(f"grid worker for points {start}..{stop - 1} exited "
+                                 f"with code {child.exitcode}")
 
     best_est = -1.0
     best_idx = None
-    best_x = None
-    for flat, idx in enumerate(product(range(cfg.grid_points), repeat=problem.n)):
-        x = np.array([axes[i][idx[i]] for i in range(problem.n)])
-        # per-point derived seed: independent of evaluation order, no
-        # up-front allocation for huge grids
-        draws = sample(problem.dist, cfg.samples,
-                       np.random.SeedSequence([cfg.seed, flat]))
-        est = float(np.count_nonzero(evaluator.membership(x, draws)) / cfg.samples)
+    for idx, est in zip(product(range(cfg.grid_points), repeat=problem.n),
+                        estimates.tolist()):
         if est > best_est or (est == best_est and grevlex_key(idx) < grevlex_key(best_idx)):
-            best_est, best_idx, best_x = est, idx, x
-    return best_x, best_est
+            best_est, best_idx = est, idx
+    return np.array([axes[i][best_idx[i]] for i in range(problem.n)]), best_est

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .alcc import SolverTrace, alcc_solve
-from .mc import McConfig, estimate_probability, grid_search
+from .mc import McConfig, estimate_probability, grid_search, grid_workers
 from .measures import check_samplable
 from .problem_io import RunOptions
 from .relaxation import (
@@ -257,4 +257,5 @@ def baseline_grid(problem: ChanceProblem, mc: McConfig) -> dict:
         "x": [float(v) for v in x_star],
         "p": p_star,
         "wall_time": time.perf_counter() - t0,
+        "workers": grid_workers(mc.grid_points**problem.n),
     }

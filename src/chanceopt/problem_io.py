@@ -216,10 +216,8 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
     for i, pair in enumerate(box):
         p = f"$.decision_box[{i}]"
         _expect(isinstance(pair, list) and len(pair) == 2, "interval must be [lo, hi]", p)
-        lo = _num(pair[0], "lo must be numeric", p)
-        hi = _num(pair[1], "hi must be numeric", p)
-        _expect(lo < hi, f"need lo < hi, got [{lo}, {hi}]", p)
-        parsed_box.append((lo, hi))
+        parsed_box.append((_num(pair[0], "lo must be numeric", p),
+                           _num(pair[1], "hi must be numeric", p)))
 
     dists = doc.get("distributions")
     _expect(isinstance(dists, list) and len(dists) == m,
@@ -241,10 +239,13 @@ def parse_document(doc) -> tuple[ChanceProblem, RunOptions]:
         ))
 
     options = _parse_fields(RunOptions(), None, doc.get("options", {}), "$.options")
-    problem = ChanceProblem(
-        name=name, n=n, m=m, sets=tuple(parsed_sets),
-        dist=DistributionSpec(coords), decision_box=tuple(parsed_box),
-    )
+    try:
+        problem = ChanceProblem(
+            name=name, n=n, m=m, sets=tuple(parsed_sets),
+            dist=DistributionSpec(coords), decision_box=tuple(parsed_box),
+        )
+    except ModelError as exc:   # the entry the problem's own rule turned away
+        raise ProblemFormatError(str(exc), f"$.{exc.field}" if exc.field else "$") from None
     check_refine_index(problem, options.refine[1], "$.options.refine_mode")
     return problem, options
 

@@ -97,16 +97,15 @@ class ChanceProblem:
                         f"expected {self.n + self.m}"
                     )
                 if not p.terms:
-                    raise ModelError(
-                        f"set {k} polynomial {j} is identically zero"
-                    )
+                    raise ModelError(f"set {k} polynomial {j} is identically zero",
+                                     f"sets[{k}][{j}]")
         box = tuple((float(lo), float(hi)) for lo, hi in self.decision_box)
         if len(box) != self.n:
             raise DimensionError(f"decision box has {len(box)} entries, expected {self.n}")
         for i, (lo, hi) in enumerate(box):
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ModelError(f"decision box entry {i} must be an interval of finite "
-                                 f"width, got [{lo}, {hi}]")
+                                 f"width, got [{lo}, {hi}]", f"decision_box[{i}]")
         if self.dist.m != self.m:
             raise DimensionError(
                 f"{self.dist.m} distribution entries for {self.m} random variables"

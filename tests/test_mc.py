@@ -1,11 +1,15 @@
 """Monte Carlo estimator and grid-search baseline."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import util
-from chanceopt.errors import ModelError, ResourceError
-from chanceopt.mc import McConfig, UnionEvaluator, estimate_probability, grid_search
+from chanceopt import mc
+from chanceopt.errors import ChanceOptError, ModelError, ResourceError
+from chanceopt.mc import (McConfig, UnionEvaluator, estimate_probability, grid_search,
+                          grid_workers)
 from chanceopt.measures import DistributionSpec, Uniform, sample
 from chanceopt.poly import Polynomial
 from chanceopt.problems import BUNDLED, load_bundled
@@ -26,6 +30,28 @@ def halfspace_problem() -> ChanceProblem:
     q = Polynomial.coordinate(2, 1)
     return ChanceProblem(
         name="half", n=1, m=1, sets=((q,),),
+        dist=DistributionSpec((Uniform(-1, 1),)),
+        decision_box=((-1, 1),),
+    )
+
+
+def tie_problem() -> ChanceProblem:
+    # empty set everywhere: every estimate is zero
+    return ChanceProblem(
+        name="tie", n=2, m=1,
+        sets=((Polynomial.constant(3, -1.0),),),
+        dist=DistributionSpec((Uniform(-1, 1),)),
+        decision_box=((-1, 1), (0, 2)),
+    )
+
+
+def rising_problem() -> ChanceProblem:
+    # x/2 - q >= 0: probability (x + 2) / 4 rises with x, so the best grid
+    # point is the last one, in the last worker's range
+    x = Polynomial.coordinate(2, 0)
+    q = Polynomial.coordinate(2, 1)
+    return ChanceProblem(
+        name="rising", n=1, m=1, sets=((0.5 * x - q,),),
         dist=DistributionSpec((Uniform(-1, 1),)),
         decision_box=((-1, 1),),
     )
@@ -269,14 +295,63 @@ class TestGridSearch:
             grid_search(prob5, McConfig(samples=10, grid_points=41, seed=0))
 
     def test_tie_break_lowest_grid_index(self):
-        # empty set everywhere: every estimate is zero, the first grid point
-        # in graded reverse lexicographic index order wins
-        prob = ChanceProblem(
-            name="tie", n=2, m=1,
-            sets=((Polynomial.constant(3, -1.0),),),
-            dist=DistributionSpec((Uniform(-1, 1),)),
-            decision_box=((-1, 1), (0, 2)),
-        )
-        x, p = grid_search(prob, McConfig(samples=10, grid_points=3, seed=0))
+        # every estimate is zero: the first grid point in graded reverse
+        # lexicographic index order wins
+        x, p = grid_search(tie_problem(), McConfig(samples=10, grid_points=3, seed=0))
         assert p == 0.0
         assert np.allclose(x, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("case", ["control-0", "control-1", "control-2", "tie",
+                                      "rising"])
+    def test_same_result_for_any_worker_count(self, case, monkeypatch):
+        # 1 worker runs in-process; 2 and 3 split the points into ranges
+        # (the tie grid's 9 points put tied points on both sides of every
+        # range boundary; the rising grid's best point is in the last
+        # range), and no child outlives the call
+        if case == "tie":
+            prob, cfg = tie_problem(), McConfig(samples=10, grid_points=3, seed=0)
+        elif case == "rising":
+            prob, cfg = rising_problem(), McConfig(samples=2000, grid_points=5, seed=0)
+        else:
+            prob, _ = load_bundled("example4_control")
+            cfg = McConfig(samples=2000, grid_points=3, seed=int(case[-1]))
+        x_ref, p_ref = util.reference_grid_search(prob, cfg)
+        can_fork = "fork" in multiprocessing.get_all_start_methods()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+            assert grid_workers(cfg.grid_points**prob.n) == (cpus if can_fork else 1)
+            x, p = grid_search(prob, cfg)
+            assert p == p_ref
+            assert np.array_equal(x, x_ref)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cause", ["one cpu", "one point", "no fork", "daemonic"])
+    def test_in_process_fallback(self, cause, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1 if cause == "one cpu" else 4)
+        if cause == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if cause == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert grid_workers(1 if cause == "one point" else 9) == 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_worker_raises_and_leaves_no_child(self, failing, monkeypatch):
+        # with 2 workers the parent evaluates flat indices 0..3 of the 9 and
+        # the child 4..8; a failing child is reported once it has exited, a
+        # failing parent ends the child before re-raising
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        real_sample = mc.sample
+
+        def failing_sample(spec, count, seed):
+            if (seed.entropy[1] >= 4) == (failing == "child"):
+                raise RuntimeError("injected sampling failure")
+            return real_sample(spec, count, seed)
+
+        monkeypatch.setattr(mc, "sample", failing_sample)
+        error, match = ((ChanceOptError, r"points 4\.\.8 exited with code 1")
+                        if failing == "child" else (RuntimeError, "injected"))
+        with pytest.raises(error, match=match):
+            grid_search(tie_problem(), McConfig(samples=10, grid_points=3, seed=0))
+        assert multiprocessing.active_children() == []

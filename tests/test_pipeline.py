@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -238,16 +239,21 @@ class TestCli:
     @pytest.mark.parametrize("entry,where", [
         ("distributions", "input error: $.distributions[0].params: uniform needs a "
                           "finite width"),
-        ("decision_box", "error: decision box entry 0 must be an interval of finite "
-                         "width"),
-    ], ids=["uniform", "box"])
+        ("decision_box", "input error: $.decision_box[0]: decision box entry 0 must be "
+                         "an interval of finite width"),
+        ("sets", "input error: $.sets[0][0]: set 0 polynomial 0 is identically zero"),
+    ], ids=["uniform", "box", "zero"])
     def test_overflowing_width_exit_two(self, entry, where, command, tmp_path):
-        # hi - lo overflows to inf: an input error, found before any sampling
+        # hi - lo overflows to inf: an input error, found before any sampling;
+        # so is a polynomial whose coefficients are all zero
         doc = emit_document(util.toy_problem())
         if entry == "distributions":
             doc["distributions"][0]["params"] = {"lo": -1e308, "hi": 1e308}
-        else:
+        elif entry == "decision_box":
             doc["decision_box"][0] = [-1e308, 1e308]
+        else:
+            for term in doc["sets"][0][0]:
+                term["coeff"] = 0.0
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         proc = fresh_python("-m", "chanceopt", command, str(path), "--grid", "3",
@@ -256,6 +262,18 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(where)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_grid_report_counts_workers(self, cpus, tmp_path, monkeypatch):
+        from chanceopt import mc
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        assert main(["grid", "example1_toy", "--grid", "3", "--samples", "100",
+                     "--out-dir", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*_grid_report.json")
+        report = json.loads(path.read_text())
+        assert list(report) == ["x", "p", "wall_time", "workers"]
+        can_fork = "fork" in multiprocessing.get_all_start_methods()
+        assert report["workers"] == (cpus if can_fork else 1)
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         # a problem argument naming no readable problem file (missing, a
