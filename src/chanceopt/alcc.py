@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .conic import ConicProgram
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,9 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     ``stalled`` when it fires while still noticeably infeasible, and
     ``max_outer`` when the iteration budget is exhausted first.
     """
+    x0 = np.zeros(program.num_scalars) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (program.num_scalars,):
+        raise DimensionError(f"x0 has shape {x0.shape}, expected ({program.num_scalars},)")
     norm_info = operator_norm(program, seed=params.seed)
     sigma = norm_info.sigma
     L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
@@ -209,9 +212,7 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
 
     c = program.objective
     b = program.constants
-    if x0 is None:
-        x0 = np.zeros(program.num_scalars)
-    x = program.simple_set.project(np.asarray(x0, dtype=float))
+    x = program.simple_set.project(x0)
     theta = np.zeros(len(b))
 
     # eta_0 from the initial composite gradient, dual started at zero

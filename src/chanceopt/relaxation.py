@@ -5,16 +5,18 @@ decision and random variables, random-parameter distributions) and an
 order d, the main builder emits a conic program over
 
 * one joint moment block per set (mass being maximized),
-* the decision moment block (pinned total mass, clamped coordinates),
 * localizing blocks for every set polynomial plus an always-added ball
   certificate that makes the representation of each set satisfy the
   algebraic compactness condition required by the moment machinery, and
 * a dominance block tying the summed set moments under the lift of the
-  decision moments against the known random-parameter moments.
+  decision moments (pinned total mass, clamped coordinates) against the
+  known random-parameter moments.
 
-The trace of the decision moment block, the sum of its diagonal terms, is
-added to the objective with a small weight to steer the decision measure
-toward a point mass.
+The decision moment matrix M_d(y_x) needs no block: the dominance rows
+with q-exponent 0 have lift factor 1 (the law's mass; T_0 = 1), so they
+hold M_d(y_x) minus a principal submatrix of every set's moment block,
+and M_d(y_x) is PSD.  Its trace is added to the objective with a small
+weight to steer the decision measure toward a point mass.
 
 The refinement builder fixes the decoded decision and re-estimates the
 probability by a volume-style program over random-parameter measures
@@ -30,8 +32,8 @@ checks every localizer against the order; ``_assemble`` emits the per-set
 moment and localizing blocks, the dominance terms subtracting each set's
 moments, the weighted-mass objective (plain mass is weight 1), the box
 with pins and the ``ProgramMeta`` that ``decode`` reads from
-``program.meta``.  The chance builder adds the decision block, the lift
-of the decision moments into the dominance block and the trace term; the
+``program.meta``.  The chance builder adds the lift of the decision
+moments into the dominance block, the mass pin and the trace term; the
 refinement builder adds the weights and the known law's moments.  Blocks
 are written as moment terms; ``conic.PsdBlock.from_terms`` alone places
 them in the svec layout.
@@ -252,8 +254,7 @@ def _localized_sets(prob: ChanceProblem, order: int, x_scaled=None) -> list:
 
 def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: str,
               weights: Optional[list] = None, yx_slice: Optional[slice] = None,
-              decision_block: Optional[PsdBlock] = None, lift=None,
-              law: Optional[np.ndarray] = None) -> ConicProgram:
+              lift=None, law: Optional[np.ndarray] = None) -> ConicProgram:
     """The part both programs share: one measure per set, dominated jointly.
 
     Set k's moment vector (its variables are those of ``sets``) occupies
@@ -297,8 +298,6 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
                 basis_size(num_vars, dloc), f"localizer[{k},{j}]", num_scalars,
                 [(lr, lc, off + lranks, lcoefs)],
             ))
-    if decision_block is not None:
-        blocks.append(decision_block)
 
     groups = [(mom_rows, mom_cols, sl.start + mom_ranks, -mom_coefs) for sl in set_slices]
     if lift is not None:
@@ -334,8 +333,9 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
 
     Scalar variables are the per-set joint moment vectors followed by the
     decision moment vector, all truncated at total degree 2*order.  The
-    objective (minimization sense) is omega_r times the trace of the
-    decision moment block minus the total set mass.
+    objective (minimization sense) is omega_r times the trace of M_d(y_x)
+    minus the total set mass; M_d(y_x) has no block of its own, since the
+    dominance and set blocks imply it is PSD.
     """
     _check_basis(basis)
     if omega_r < 0:
@@ -347,13 +347,11 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
 
     yx_off = prob.num_sets * basis_size(n + prob.m, 2 * order)
     yx_slice = slice(yx_off, yx_off + basis_size(n, 2 * order))
-    xr, xc, xranks, xcoefs = moment_block_terms(n, order, basis)
-    decision_block = PsdBlock.from_terms(basis_size(n, order), "decision_moment",
-                                         yx_slice.stop, [(xr, xc, yx_off + xranks, xcoefs)])
     x_rank, q_fac = lift_factors(n, prob.dist, 2 * order, basis)
     program = _assemble("chance", scaled, sets, order, basis, yx_slice=yx_slice,
-                        decision_block=decision_block, lift=(yx_off + x_rank, q_fac))
-    # the trace of the decision block: its diagonal terms, summed per moment
+                        lift=(yx_off + x_rank, q_fac))
+    # the trace of M_d(y_x): the diagonal terms of its moment terms, summed per moment
+    xr, xc, xranks, xcoefs = moment_block_terms(n, order, basis)
     diag = xr == xc
     trace = np.zeros(basis_size(n, 2 * order))
     np.add.at(trace, xranks[diag], xcoefs[diag])

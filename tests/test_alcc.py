@@ -255,6 +255,15 @@ class TestAlccSolve:
         for a, b in zip(tail[:-1], tail[1:]):
             assert b <= a + 1e-10
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_start_point_of_wrong_length_rejected(self, length):
+        # a length-1 start would broadcast over both scalars without the check
+        from chanceopt.errors import DimensionError
+        prog = scalar_block_program(np.eye(2), [-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(DimensionError, match=r"x0 has shape \(%d,\), expected \(2,\)"
+                           % length):
+            alcc_solve(prog, SolverParams(max_outer=3), x0=np.ones(length))
+
     def test_non_finite_iterate_raises_with_trace(self):
         from chanceopt.errors import NumericalError
         prog = scalar_block_program([[1.0]], [0.5], [float("nan")])

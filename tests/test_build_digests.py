@@ -6,55 +6,72 @@ and the toy's refinement programs at the scaled decision 0.5, all in both
 bases; and the union at order 3 in the Chebyshev basis, whose localizer
 terms sum many products of basis elements.  A refactor of the builder must leave every digest unchanged; a
 deliberate change to the programs must update them and say why.
+
+``FULL_DIGESTS`` pins a few chance programs with the decision moment block
+put back (``util.with_decision_block``): these are the programs the builder
+emitted while it still had that block, so the oracle the reduced programs
+are solved against is that program byte for byte.
 """
 
 import hashlib
 
 import pytest
 
+import util
 from chanceopt.moments import BASES
 from chanceopt.problems import BUNDLED, load_bundled
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp
 
 DIGESTS = {
     ("example1_toy", 2, "monomial"):
-        "19b8ba37b32e8e218bcfdc4f9a45c027a7d272d353e3d81d31cbf2aa3f2ec2a1",
+        "22d942f69be45ca282dd9b7af852f581ae40b7febd4d8821e8c30a2f457ee206",
     ("example1_pair", 2, "monomial"):
-        "fd510484d80db66d749a51c67aa8597de73cf135a2567689f9b5f969bd9ab214",
+        "7ab301e327c7ff3506e3eb3abbea12bc6db854c986c9b3744f6fb3213db19e64",
     ("example1_5d", 1, "monomial"):
-        "ae8a39dcdf01c17794e8148c07e31480d23afc0f88e6ef05c32193df66b60731",
+        "b9c08065d5500e691536743751e3e5fdd7f917cb13cf665f323257540c30895a",
     ("example2_union", 1, "monomial"):
-        "5212bd5e1a3bfe14592040b8b68fe51cc22839f91b7291165b6563db34d39b89",
+        "e2a93b264791d9b99dde3e3950f4a57021df9887fedd34c9204ec55c59cfe5af",
     ("example3_portfolio", 1, "monomial"):
-        "eb8a31a64e8eb781485f1638611348bb3550721930247d140be2f482b511d179",
+        "5ef8118c0ae26bcc799a67534aa6e92a8054cb247bab91de3366387875974cd6",
     ("example4_control", 2, "monomial"):
-        "8a4e826e58173334a7f797dc272880815db246735a88325bc5e2bf9db0bf47ca",
+        "ef5895a1874e999a3feef5c2eb2d69d989a0f0e30dfe9b03fa8130e4c53e76c5",
     ("example5_scaling", 1, "monomial"):
-        "a9372f215453c17ffbd401988e847186ea89b8aa4680a577e05ca896d1702de3",
+        "6670b54dcd2e4f4cd16c035f59e054765cf55c489ff9429f9e1703a41406f8b5",
     ("example2_union", 2, "monomial"):
-        "8d894e67430b497310137dbb81388db0d7a2920d3dc59cc70b4297e65258327d",
+        "60af073d522ba5b77d376243d32e46629c6ae857fcb349f7c9565c7cc77bab72",
     ("example1_5d", 2, "monomial"):
-        "9305bb8652d128a5c229ea12a8b4ac8973e903aa86222d1a49498b5faecef03c",
+        "215ef1114adf22f6151345f199a65edb1fe2e8336e355a949ad57803d6dee154",
+    ("example1_toy", 2, "chebyshev"):
+        "74de39d1f729aecb33213f58f00bab6fdd8d05483bb4784b1b48c7370af06283",
+    ("example1_pair", 2, "chebyshev"):
+        "4d6b7121b42dce64c6169ab8e37cda6dccf24ce93ffd843b2f27a6f86f673602",
+    ("example1_5d", 1, "chebyshev"):
+        "1b60ac4a8df9eeb4c6eb25d7342ef42a0913baad92b0c4e176a114290f9f6c01",
+    ("example2_union", 1, "chebyshev"):
+        "49ef9e1e22fd1afdc4adbc5ad64d983bc4c66af9c6dc4e78403146db89f89e82",
+    ("example3_portfolio", 1, "chebyshev"):
+        "78b0a472d52165f58b91cff3df8c02ec73dea107a3dc4ea398c140ef633b4d7a",
+    ("example4_control", 2, "chebyshev"):
+        "3e86113d877af9ae7019de932cca41d0bf46708acf4b5009a3900c990368ed98",
+    ("example5_scaling", 1, "chebyshev"):
+        "4f28ef4f363d7af12ab0515bc48233572691c8176a80214d9075af6d3701fbee",
+    ("example2_union", 2, "chebyshev"):
+        "4ff52c3614c7ac3c609036b0021ec23a82d2aa702eecb69fc5c23418327289ca",
+    ("example1_5d", 2, "chebyshev"):
+        "6389ca7df2760e8648c1b803159b5cb57844abb606bcf1069ff4e0cd3ffd8dcf",
+    ("example2_union", 3, "chebyshev"):
+        "d4b143b2bfa8472e5e7daedd212acaf936c369854d2c51a8c82403f5fa17db4b",
+}
+
+FULL_DIGESTS = {
+    ("example1_toy", 2, "monomial"):
+        "19b8ba37b32e8e218bcfdc4f9a45c027a7d272d353e3d81d31cbf2aa3f2ec2a1",
     ("example1_toy", 2, "chebyshev"):
         "7365f268fac9304ea664a850e385da680a682099a6f2103b0e90f61340b37f31",
-    ("example1_pair", 2, "chebyshev"):
-        "b263663796e5ea88940d1ef1983d3bd2b5427922bccdb4b54659c322bf3e00d5",
-    ("example1_5d", 1, "chebyshev"):
-        "f7fdf5fc6d47616dab9dc13e5583ab1770aaf03a255aa57ff5612025155e88c3",
-    ("example2_union", 1, "chebyshev"):
-        "3b8013e40328000c40f4543850bc8bd3c5a6deb8267e50ab7a50ca116bb7c13b",
-    ("example3_portfolio", 1, "chebyshev"):
-        "007698f36f44a982e55ecaa64e91af238de1f67d2974213b0565c1dea527bdd1",
-    ("example4_control", 2, "chebyshev"):
-        "b99682fedab93989cffaae1dbb121fb187f42ac8a3fb12b54725a2d501af3909",
-    ("example5_scaling", 1, "chebyshev"):
-        "9452050d4f254c29d0be36c64cf4622e34560eb654d59165a56c972c616d1a8c",
-    ("example2_union", 2, "chebyshev"):
-        "420ebdab55bf7782a64b383b143e7f5bff025734b6d0c4ad201db2f0d59ca9d6",
-    ("example1_5d", 2, "chebyshev"):
-        "af5239dae06192be23394cf9880e87e893a57f9372323be230fd5bd7b04a6fe2",
-    ("example2_union", 3, "chebyshev"):
-        "d04d2db2b9aaf2af57efc2b6b9548173c440f43d49a8849ffc4eb9368617df13",
+    ("example1_pair", 2, "monomial"):
+        "fd510484d80db66d749a51c67aa8597de73cf135a2567689f9b5f969bd9ab214",
+    ("example2_union", 1, "monomial"):
+        "5212bd5e1a3bfe14592040b8b68fe51cc22839f91b7291165b6563db34d39b89",
 }
 
 REFINEMENT_DIGESTS = {
@@ -86,6 +103,15 @@ def test_chance_program_digest(name, order, basis, tmp_path):
     problem, options = load_bundled(name)
     program = build_chance_sdp(problem, order, omega_r=options.omega_r, basis=basis)
     assert _digest(program, tmp_path) == DIGESTS[name, order, basis]
+
+
+@pytest.mark.parametrize("name,order,basis", sorted(FULL_DIGESTS))
+def test_full_program_digest(name, order, basis, tmp_path):
+    problem, options = load_bundled(name)
+    program = build_chance_sdp(problem, order, omega_r=options.omega_r, basis=basis)
+    assert "decision_moment" not in [b.label for b in program.blocks]
+    full = util.with_decision_block(program)
+    assert _digest(full, tmp_path) == FULL_DIGESTS[name, order, basis]
 
 
 @pytest.mark.parametrize("mode,basis", sorted(REFINEMENT_DIGESTS))

@@ -8,8 +8,9 @@ from chanceopt import problems
 from chanceopt.alcc import SolverParams, alcc_solve
 from chanceopt.errors import ModelError, OrderError
 from chanceopt.measures import Beta, DistributionSpec, Uniform
-from chanceopt.moments import MomentVector
-from chanceopt.poly import Polynomial, basis_size
+from chanceopt.moments import BASES, MomentVector
+from chanceopt.poly import Polynomial, basis_size, exponents
+from chanceopt.problems import load_bundled
 from chanceopt.relaxation import (
     ChanceProblem,
     add_ball_certificate,
@@ -149,8 +150,7 @@ class TestBuildChanceSdp:
             "moment[0]": 6,          # joint moments to order 2
             "localizer[0,0]": 3,     # ball certificate, degree 2
             "localizer[0,1]": 1,     # quartic constraint, order 0
-            "decision_moment": 3,
-            "dominance": 6,
+            "dominance": 6,          # holds M_2(y_x); no decision block
         }
         assert prog.num_scalars == basis_size(2, 4) + basis_size(1, 4)
 
@@ -175,7 +175,7 @@ class TestBuildChanceSdp:
         c = prog.objective
         assert c[info.set_slices[0].start] == -1.0
         yx = info.yx_slice.start
-        # trace of the decision moment block: ranks of 0, 2, 4 in one variable
+        # trace of M_2(y_x): ranks of 0, 2, 4 in one variable
         assert c[yx + 0] == pytest.approx(0.25)
         assert c[yx + 2] == pytest.approx(0.25)
         assert c[yx + 4] == pytest.approx(0.25)
@@ -240,6 +240,49 @@ class TestBuildChanceSdp:
         info = prog.meta
         for sl in info.set_slices:
             assert prog.objective[sl.start] == -1.0
+
+
+class TestImpliedDecisionBlock:
+    """The dominance and set blocks imply M_d(y_x) >= 0, so no chance
+    program carries a decision moment block."""
+
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("name,order", [
+        ("example1_toy", 2), ("example1_toy", 3), ("example2_union", 1),
+        ("example2_union", 2), ("example3_portfolio", 2),    # a Beta law
+    ])
+    def test_dominance_holds_decision_moment_matrix(self, name, order, basis):
+        # the dominance rows and columns with q-exponent 0 have lift factor 1
+        # (the law's mass), so at any y they are M_d(y_x) minus the same rows
+        # and columns of every set's moment block: principal submatrices of
+        # PSD blocks, which leaves M_d(y_x) PSD on every feasible point
+        problem = load_bundled(name)[0]
+        prog = build_chance_sdp(problem, order, basis=basis)
+        info = prog.meta
+        n, m = problem.n, problem.m
+        joint = exponents(n + m, order)
+        sub = np.ix_(*2 * [[joint.index(a + (0,) * m) for a in exponents(n, order)]])
+        y = np.random.default_rng(order).uniform(-1.0, 1.0, prog.num_scalars)
+        values = dict(zip((b.label for b in prog.blocks), util.block_values(prog, y)))
+        m_x = util.moment_matrix(MomentVector(n, 2 * order, y[info.yx_slice]), order, basis)
+        expect = m_x - sum(values[f"moment[{k}]"][sub] for k in range(len(info.set_slices)))
+        assert np.max(np.abs(values["dominance"][sub] - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("name,order", [
+        ("example1_toy", 2), ("example1_pair", 2), ("example2_union", 1),
+    ])
+    def test_reduced_solve_matches_full_program(self, name, order):
+        # the full program keeps the decision block; the reduced solve is
+        # about as close to the full program's cone as to its own, at the
+        # same value
+        reduced = build_chance_sdp(load_bundled(name)[0], order)
+        full = util.with_decision_block(reduced)
+        params = SolverParams(max_inner_cap=2000)
+        x_reduced = alcc_solve(reduced, params).x
+        x_full = alcc_solve(full, params).x
+        assert full.cone_distance(x_reduced) <= 10 * reduced.cone_distance(x_reduced) + 1e-8
+        assert decode(reduced, x_reduced).probability == pytest.approx(
+            decode(full, x_full).probability, abs=1e-5)
 
 
 class TestDecode:

@@ -33,22 +33,22 @@ _CAPPED = [(2001, "iter_cap")]
 
 DIGESTS = {
     "toy_d2": (
-        "364b3f9ed336e6f4d17d22237e3caa791c7fdc87f467419a3a50d02acf208798",
-        [(34, "step_small"), (159, "step_small"), (335, "step_small"),
-         (1227, "step_small")] + 8 * _CAPPED,
+        "ea93e9b893bb9b8ada3726b62d33076a66a209034c881de7eb61af03ac047f64",
+        [(34, "step_small"), (161, "step_small"), (338, "step_small"),
+         (845, "step_small")] + 8 * _CAPPED,
     ),
     "toy_d2_indicator": (
-        "585a31133413d129dc4c385f1e79327fd83671eba49847504111ffec6c27dfa6",
+        "216b6196c6ab235f0d28bae119b5ebd4373f353511997af94d0210c6b64a3844",
         [(23, "step_small"), (54, "step_small"), (61, "step_small"),
          (541, "step_small"), (975, "step_small")] + 6 * _CAPPED,
     ),
     "toy_d2_chebyshev": (
-        "4ab46b7b2ddd07fdf22ed84ffc6a3f92d2384739ce90a408e71b79299fbeeae2",
-        [(60, "step_small"), (848, "step_small"), (836, "step_small")] + 9 * _CAPPED,
+        "375b5d49f503685b1224d3efac8c57b53ad48554b13c06667b04ffe322a8f00f",
+        [(53, "step_small"), (863, "step_small"), (772, "step_small")] + 9 * _CAPPED,
     ),
     "union_d1": (
-        "857488e47af6d740a42ba578ec9a41731c5193913d012b792e8927dd520063ef",
-        [(90, "step_small"), (251, "step_small")] + 6 * _CAPPED,
+        "149c678d9a1c25d4a2a1a715225cd4d3f432fb6bb54788c0cf3629c685019736",
+        [(89, "step_small"), (272, "step_small")] + 6 * _CAPPED,
     ),
 }
 

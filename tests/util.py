@@ -278,6 +278,22 @@ def localizing_matrix(y: MomentVector, p: Polynomial, d: int,
                         basis_size(p.num_vars, d))
 
 
+def with_decision_block(program: ConicProgram) -> ConicProgram:
+    """The chance program with the decision moment block M_d(y_x) >= 0 put
+    back just before the dominance block: the program as built before the
+    dominance and set blocks were shown to imply that block, kept as an
+    oracle for the reduced one."""
+    info = program.meta
+    n = info.scaled.problem.n
+    xr, xc, xranks, xcoefs = moment_block_terms(n, info.order, info.basis)
+    block = PsdBlock.from_terms(basis_size(n, info.order), "decision_moment",
+                                program.num_scalars,
+                                [(xr, xc, info.yx_slice.start + xranks, xcoefs)])
+    blocks = program.blocks[:-1] + [block, program.blocks[-1]]
+    return ConicProgram(objective=program.objective, blocks=blocks,
+                        simple_set=program.simple_set, meta=info)
+
+
 def reference_measure_matrix(points, weights, d: int, basis: str = "monomial",
                              p: Polynomial | None = None) -> np.ndarray:
     """Oracle: sum_k w_k p(z_k) b(z_k) b(z_k)^T over a discrete measure.
