@@ -96,6 +96,7 @@ class SolverTrace:
     status: str                      # converged | stalled | max_outer
     sigma_max: float
     sigma_converged: bool
+    lanes: int = 1                   # threads that shared the PSD projection
 
     @property
     def outer_iterations(self) -> int:
@@ -200,66 +201,68 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     default the projection of the origin.  Status is ``converged`` when
     the relative-change stop fires with a small feasibility residual,
     ``stalled`` when it fires while still noticeably infeasible, and
-    ``max_outer`` when the iteration budget is exhausted first.
+    ``max_outer`` when the iteration budget is exhausted first.  The PSD
+    projections run in the program's ``lanes`` for the whole solve.
     """
     x0 = np.zeros(program.num_scalars) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (program.num_scalars,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({program.num_scalars},)")
-    norm_info = operator_norm(program, seed=params.seed)
-    sigma = norm_info.sigma
-    L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
-    B = program.simple_set.diameter()
+    with program.lanes() as lanes:
+        norm_info = operator_norm(program, seed=params.seed)
+        sigma = norm_info.sigma
+        L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
+        B = program.simple_set.diameter()
 
-    c = program.objective
-    b = program.constants
-    x = program.simple_set.project(x0)
-    theta = np.zeros(len(b))
+        c = program.objective
+        b = program.constants
+        x = program.simple_set.project(x0)
+        theta = np.zeros(len(b))
 
-    # eta_0 from the initial composite gradient, dual started at zero
-    grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
-    eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
-    if eta0 == 0.0:
-        eta0 = 1.0
+        # eta_0 from the initial composite gradient, dual started at zero
+        grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
+        eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
+        if eta0 == 0.0:
+            eta0 = 1.0
 
-    records = []
-    status = "max_outer"
-    resid_scale = 1.0 + float(np.linalg.norm(b))
-    for k in range(1, params.max_outer + 1):
-        nu_k = params.beta**k * params.nu0
-        decay = k ** (2.0 * (1.0 + params.c)) * params.beta**k
-        eta_k = eta0 / decay
-        ell_exact = k ** (1.0 + params.c) * params.beta**k * B * np.sqrt(
-            2.0 * params.nu0 * L / params.alpha0
-        )
-        cap_limited = ell_exact > params.max_inner_cap
-        ell_max = min(ell_exact, float(params.max_inner_cap))
+        records = []
+        status = "max_outer"
+        resid_scale = 1.0 + float(np.linalg.norm(b))
+        for k in range(1, params.max_outer + 1):
+            nu_k = params.beta**k * params.nu0
+            decay = k ** (2.0 * (1.0 + params.c)) * params.beta**k
+            eta_k = eta0 / decay
+            ell_exact = k ** (1.0 + params.c) * params.beta**k * B * np.sqrt(
+                2.0 * params.nu0 * L / params.alpha0
+            )
+            cap_limited = ell_exact > params.max_inner_cap
+            ell_max = min(ell_exact, float(params.max_inner_cap))
 
-        x_new, inner, reason = apg_inner(
-            program, x, nu_k, theta, L, eta_k / nu_k, ell_max
-        )
-        if not np.all(np.isfinite(x_new)):
-            trace = SolverTrace(records, x, theta, "numerical_error", sigma,
-                                norm_info.converged)
-            err = NumericalError(f"non-finite iterate at outer iteration {k}")
-            err.trace = trace
-            raise err
+            x_new, inner, reason = apg_inner(
+                program, x, nu_k, theta, L, eta_k / nu_k, ell_max
+            )
+            if not np.all(np.isfinite(x_new)):
+                trace = SolverTrace(records, x, theta, "numerical_error", sigma,
+                                    norm_info.converged, lanes)
+                err = NumericalError(f"non-finite iterate at outer iteration {k}")
+                err.trace = trace
+                raise err
 
-        residual = program.cone_distance(x_new)
-        records.append(OuterRecord(
-            k=k, nu=nu_k, inner_iters=inner, residual=residual,
-            objective=float(c @ x_new), dual_norm=float(np.linalg.norm(theta)),
-            inner_stop=reason, cap_limited=cap_limited,
-        ))
+            residual = program.cone_distance(x_new)
+            records.append(OuterRecord(
+                k=k, nu=nu_k, inner_iters=inner, residual=residual,
+                objective=float(c @ x_new), dual_norm=float(np.linalg.norm(theta)),
+                inner_stop=reason, cap_limited=cap_limited,
+            ))
 
-        nu_next = params.beta ** (k + 1) * params.nu0
-        theta = (nu_k / nu_next) * program.project_dual(
-            theta + b - program.apply(x_new)
-        )
+            nu_next = params.beta ** (k + 1) * params.nu0
+            theta = (nu_k / nu_next) * program.project_dual(
+                theta + b - program.apply(x_new)
+            )
 
-        rel_change = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
-        x = x_new
-        if rel_change <= params.tol:
-            status = "converged" if residual <= 1e-3 * resid_scale else "stalled"
-            break
+            rel_change = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
+            x = x_new
+            if rel_change <= params.tol:
+                status = "converged" if residual <= 1e-3 * resid_scale else "stalled"
+                break
 
-    return SolverTrace(records, x, theta, status, sigma, norm_info.converged)
+    return SolverTrace(records, x, theta, status, sigma, norm_info.converged, lanes)

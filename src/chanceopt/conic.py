@@ -18,12 +18,12 @@ Coefficients are ``SparseMatrix`` triplets in row-major order.  The solver
 applies the operator, its adjoint and the blockwise PSD projection once
 per inner iteration, so their set-up is paid once per program: the
 stacked matrix and the projection plan are cached properties, built on
-first use.  The plan groups blocks by dimension and holds the index maps
-between the stacked svec vector and the batched dense matrices.  Both keep work
-buffers that every call reuses, so the loop allocates little beyond its
-results; this is also why a program is not reentrant.  A 1x1 block's
-cone is the half-line, so its projection is a clip at zero with no
-eigendecomposition.
+first use.  The plan groups blocks by lane and dimension and holds the
+index maps between the stacked svec vector and the batched dense
+matrices.  Both keep work buffers that every call reuses, so the loop
+allocates little beyond its results; this is also why a program is not
+reentrant.  A 1x1 block's cone is the half-line, so its projection is a
+clip at zero with no eigendecomposition.
 
 On small blocks a projection costs more in numpy call overhead than in
 arithmetic, so the hot paths make few and cheap calls.  The projection
@@ -32,17 +32,42 @@ calls LAPACK's batched eigensolver through the generalized ufunc that
 checks, error-state context and result tuple cost as much as the
 decomposition of the toy's 3x3 and 6x6 blocks, and the values are the
 same bits.  A failed decomposition leaves NaN eigenvalues, which one
-check per call turns into ``NumericalError``.  The simple set folds its
+check per lane turns into ``NumericalError``.  The simple set folds its
 pins into its clamp bounds (lower = upper = the pinned value) on first
 use, so its projection is one maximum and one minimum.
+
+The projection's cost is the eigendecompositions of the large blocks
+(from union order 2 on), so while ``ConicProgram.lanes`` is active, as it
+is for every ``alcc_solve``, the plan's blocks are split into lanes: lane
+0 is the caller's thread and each other lane has one worker thread,
+started when the solve starts and joined when it ends.  The plan makes
+the split once, for the CPUs usable when it is built: blocks go largest
+first to the least-loaded lane, at a cost of dim**3 each, and a second
+lane is used only when every lane's work is well above one thread
+handoff (``_LANE_MIN_WORK``); the batch is laid out lane by lane, so each lane
+eigendecomposes, clips and rebuilds its own contiguous slices of the
+plan's buffers, while the gather before and the read-back after stay one
+call each.  Each block still goes through the same LAPACK call on the
+same data, so the result is the same bits for any number of lanes.  For
+the solve's duration the OpenBLAS that numpy loaded is held at one thread
+(its own threads would only compete with the lanes) and its count is
+restored afterwards.  Where there is one usable CPU, no OpenBLAS whose
+thread count can be set, or no block large enough, the plan has one lane:
+one batched call per dimension on the caller's thread, with OpenBLAS left
+as it is.  Outside ``lanes`` the caller's thread runs every lane in turn.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
-from dataclasses import dataclass
+import os
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -56,9 +81,78 @@ _SQRT2 = float(np.sqrt(2.0))
 _eigh = _umath_linalg.eigh_lo  # the batched LAPACK call behind np.linalg.eigh
 
 
-def _eigh_failed(mats: np.ndarray) -> NumericalError:
-    return NumericalError(f"eigendecomposition failed on {len(mats)} blocks of dim "
-                          f"{mats.shape[1]} (finite={np.all(np.isfinite(mats))})")
+def _eigh_failed(dim: int, parts: list) -> NumericalError:
+    """The error naming every block of dimension ``dim``; ``parts`` hold them."""
+    finite = all(np.isfinite(mats).all() for mats in parts)
+    return NumericalError(f"eigendecomposition failed on {sum(map(len, parts))} blocks "
+                          f"of dim {dim} (finite={finite})")
+
+
+# A lane other than the caller's is used only when it receives at least
+# the work of one 30x30 block (costs counted as dim**3).  Measured on a
+# 2-vCPU host with OpenBLAS at one thread: one eigendecomposition takes
+# 10.6 us at dim 6, 26 us at 11, 92 us at 21, 155 us at 30, 345 us at 45
+# and 626 us at 66, and handing a lane to a waiting thread and waiting
+# for its reply (a lock round trip) takes 17 us; so a lane's work is at
+# least nine handoffs.  Small blocks cost more per dim**3, which makes
+# the rule err toward one lane.
+_LANE_MIN_WORK = 30**3
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    numpy's own OpenBLAS exports the 64-bit-integer names, which are asked
+    for first, so another OpenBLAS in the process (scipy's) is not taken.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for get, put in (("scipy_openblas_get_num_threads64_",
+                      "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads")):
+        for path in libs:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            getter, setter = getattr(lib, get, None), getattr(lib, put, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+def _partition(dims: list, cpus: int) -> list:
+    """Indices into ``dims`` per lane: the most lanes, up to ``cpus``, that
+    each receive at least ``_LANE_MIN_WORK``, or one lane with every block.
+
+    Blocks go largest first (ties in order) to the least-loaded lane (ties
+    to the lowest), a block of dim d costing d**3.
+    """
+    order = sorted(range(len(dims)), key=lambda i: -dims[i])
+    for count in range(min(cpus, len(dims)), 1, -1):
+        loads, members = [0] * count, [[] for _ in range(count)]
+        for i in order:
+            lane = loads.index(min(loads))
+            members[lane].append(i)
+            loads[lane] += dims[i] ** 3
+        if min(loads) >= _LANE_MIN_WORK:
+            return members
+    return [list(range(len(dims)))]
 
 
 class Triangle(NamedTuple):
@@ -216,22 +310,119 @@ class SimpleSet:
         return float(np.sqrt(np.sum(widths**2)))
 
 
+class _Piece(NamedTuple):
+    """One lane's blocks of one dimension, as views of the plan's buffers."""
+
+    dim: int
+    mats: np.ndarray     # (n, dim, dim) of the batch: gathered, then scaled eigenvectors
+    vals: np.ndarray     # (n, dim): eigenvalues
+    vecs: np.ndarray     # (n, dim, dim): eigenvectors
+    recon: np.ndarray    # (n, dim, dim): projected matrices
+
+
+class _Lane(NamedTuple):
+    pieces: list         # _Piece per dimension, in increasing dimension
+    vals: np.ndarray     # the eigenvalues of every piece, one contiguous view
+
+
 class _ProjPlan(NamedTuple):
     """Index maps and work buffers for projecting every block in one pass.
 
-    The batch holds each block as a dense matrix, blocks of one dimension
-    next to each other and the dimensions in increasing order.
+    The batch holds each block as a dense matrix: the 1x1 blocks first,
+    then lane by lane the lane's blocks, those of one dimension next to
+    each other and the dimensions in increasing order.
     """
 
     gather: np.ndarray   # (batch,): stacked svec position of each batch entry
     divisor: np.ndarray  # (batch,): svec scale of that entry
     halfline: Optional[tuple]  # (batch, reconstruction) views of the 1x1 blocks
-    groups: list         # (batch, eigenvalue, eigenvector, reconstruction) per dim > 1
+    lanes: list          # _Lane per lane; lane 0 is the caller's
     batch: np.ndarray    # gathered matrices, then the scaled eigenvectors
-    vals: np.ndarray     # eigenvalues of every block of dim > 1
     recon: np.ndarray    # projected matrices
     source: np.ndarray   # (stacked,): reconstruction position of each svec entry
     scale: np.ndarray    # (stacked,): its svec scale
+
+
+def _project_lane(lane: _Lane) -> Optional[tuple]:
+    """Eigendecompose, clip and rebuild one lane's pieces in place.
+
+    Returns None, ``(0, dim)`` when LAPACK's "invalid value" warning was
+    raised as an error on the piece of that dimension, or ``(1, dim)`` for
+    the first piece with a non-finite eigenvalue (LAPACK failed, or a
+    block was not finite); the lane then stops before rebuilding.
+    """
+    pieces, lane_vals = lane
+    for dim, mats, vals, vecs, _ in pieces:
+        try:
+            _eigh(mats, signature="d->dd", out=(vals, vecs))
+        except RuntimeWarning:
+            return 0, dim
+    if not math.isfinite(lane_vals.dot(lane_vals)):  # finite if every eigenvalue is
+        for dim, _, vals, _, _ in pieces:
+            if not np.isfinite(vals).all():
+                return 1, dim
+    for _, mats, vals, vecs, recon in pieces:
+        np.maximum(vals, 0.0, out=vals)
+        np.multiply(vecs, vals[:, None, :], out=mats)
+        np.matmul(mats, vecs.transpose(0, 2, 1), out=recon)
+    return None
+
+
+def _project_in_threads(lanes: list, workers: list) -> list:
+    """Lane 0 on the caller's thread, each other lane on its worker; the
+    result of every lane, and every worker is waited for however lane 0 ends."""
+    for worker in workers:
+        worker.go.release()
+    found = []
+    try:
+        found.append(_project_lane(lanes[0]))
+    finally:
+        found.extend([worker.wait() for worker in workers])
+    return found
+
+
+class _Worker:
+    """A thread that projects one lane each time the caller releases it.
+
+    The thread runs in a copy of the starting caller's context, which holds
+    numpy's error state, so floating-point errors are treated as on the
+    caller's thread; an exception other than a failed projection is kept
+    and raised again by the caller.
+    """
+
+    def __init__(self, lane: _Lane, name: str):
+        self.lane = lane
+        self.result = None
+        self.stopping = False
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.thread = threading.Thread(target=contextvars.copy_context().run,
+                                       args=(self._serve,), name=name, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            if self.stopping:
+                return
+            try:
+                self.result = _project_lane(self.lane)
+            except Exception as exc:    # handed to the caller, which raises it
+                self.result = exc
+            self.done.release()
+
+    def wait(self):
+        self.done.acquire()
+        return self.result
+
+    def stop(self) -> None:
+        self.stopping = True
+        # only the caller releases `go`; unlocked, it is released already
+        # and the thread will see `stopping` when it takes it
+        if self.go.locked():
+            self.go.release()
+        self.thread.join()
 
 
 @dataclass
@@ -247,6 +438,7 @@ class ConicProgram:
     blocks: list
     simple_set: SimpleSet
     meta: Optional[ProgramMeta] = None   # set by the relaxation builders
+    _workers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def num_scalars(self) -> int:
@@ -287,14 +479,20 @@ class ConicProgram:
 
     @cached_property
     def _plan(self) -> _ProjPlan:
-        by_dim: dict[int, list[int]] = {}
-        for i, blk in enumerate(self.blocks):
-            by_dim.setdefault(blk.dim, []).append(i)
+        dims = [blk.dim for blk in self.blocks]
+        eig = [i for i, dim in enumerate(dims) if dim > 1]
+        lanes = [[eig[j] for j in members]
+                 for members in _partition([dims[i] for i in eig], _usable_cpus())]
+        if len(lanes) > 1 and _openblas_threads() is None:
+            lanes = [eig]
         stacked = self.block_slices[-1].stop
         source = np.empty(stacked, dtype=np.intp)
         scale = np.empty(stacked)
-        gather, spans, off = [], [], 0
-        for dim, members in sorted(by_dim.items()):
+        gather, off = [], 0
+
+        def lay_out(dim: int, members: list) -> tuple:
+            """Put the blocks ``members`` of dimension ``dim`` next in the batch."""
+            nonlocal off
             tri = triu_info(dim)
             idx = np.array([np.arange(self.block_slices[i].start, self.block_slices[i].stop)
                             for i in members])
@@ -302,36 +500,82 @@ class ConicProgram:
             gather.append(idx[:, tri.position].ravel())
             source[idx] = off + np.arange(n)[:, None] * dim * dim + tri.rows * dim + tri.cols
             scale[idx] = tri.scale
-            spans.append((dim, n, off))
             off += n * dim * dim
-        batch, recon = np.empty(off), np.empty(off)
-        vals = np.empty(sum(n * dim for dim, n, _ in spans if dim > 1))
-        halfline, groups, v = None, [], 0
-        for dim, n, o in spans:
-            mats = batch[o:o + n * dim * dim].reshape(n, dim, dim)
-            out = recon[o:o + n * dim * dim].reshape(n, dim, dim)
-            if dim == 1:
-                halfline = (mats, out)
-                continue
-            groups.append((mats, vals[v:v + n * dim].reshape(n, dim),
-                           np.empty((n, dim, dim)), out))
-            v += n * dim
+            return dim, n, off - n * dim * dim
+
+        ones = [i for i, dim in enumerate(dims) if dim == 1]
+        halfline = lay_out(1, ones) if ones else None
+        spans = []
+        for members in lanes:
+            by_dim: dict[int, list[int]] = {}
+            for i in sorted(members):
+                by_dim.setdefault(dims[i], []).append(i)
+            spans.append([lay_out(dim, group) for dim, group in sorted(by_dim.items())])
+        batch, recon, vecs = np.empty(off), np.empty(off), np.empty(off)
+        vals = np.empty(sum(n * dim for lane in spans for dim, n, _ in lane))
+
+        def views(dim: int, n: int, o: int) -> tuple:
+            return (batch[o:o + n * dim * dim].reshape(n, dim, dim),
+                    vecs[o:o + n * dim * dim].reshape(n, dim, dim),
+                    recon[o:o + n * dim * dim].reshape(n, dim, dim))
+
+        if halfline is not None:
+            mats, _, out = views(*halfline)
+            halfline = (mats, out)
+        plan_lanes, v = [], 0
+        for lane in spans:
+            pieces, first = [], v
+            for dim, n, o in lane:
+                mats, piece_vecs, out = views(dim, n, o)
+                pieces.append(_Piece(dim, mats, vals[v:v + n * dim].reshape(n, dim),
+                                     piece_vecs, out))
+                v += n * dim
+            plan_lanes.append(_Lane(pieces, vals[first:v]))
         gather = np.concatenate(gather)
-        return _ProjPlan(gather, scale[gather], halfline, groups, batch, vals, recon,
+        return _ProjPlan(gather, scale[gather], halfline, plan_lanes, batch, recon,
                          source, scale)
+
+    @contextmanager
+    def lanes(self) -> Iterator[int]:
+        """Project on one thread per lane of the plan while the block runs.
+
+        Yields the number of lanes.  With more than one, the worker
+        threads start here and are joined on the way out, however the
+        block ends, and the OpenBLAS that numpy loaded runs at one thread
+        meanwhile; its thread count is then restored.
+        """
+        plan_lanes = self._plan.lanes
+        if len(plan_lanes) == 1:
+            yield 1
+            return
+        get, put = _openblas_threads()
+        before = get()
+        put(1)
+        try:
+            for i, lane in enumerate(plan_lanes[1:], 1):
+                self._workers.append(_Worker(lane, f"chanceopt-lane-{i}"))
+            yield len(plan_lanes)
+        finally:
+            workers, self._workers = self._workers, []
+            for worker in workers:
+                worker.stop()
+            put(before)
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
 
         The PSD cone is self-dual, so this is both the primal and the dual
         projection.  The plan is built once per program: one gather turns
-        ``s`` into a batch of dense symmetric matrices, blocks of equal
-        dimension share one batched eigendecomposition, their clipped
-        reconstructions land in a second batch, and one gather through the
-        upper-triangle index reads the result back.  1x1 blocks are
-        clipped at zero without an eigendecomposition.  Only the returned
-        vector is newly allocated.  A non-finite eigenvalue (LAPACK failed,
-        or a block was not finite) raises ``NumericalError``, also where
+        ``s`` into a batch of dense symmetric matrices, each lane's blocks
+        of equal dimension share one batched eigendecomposition, their
+        clipped reconstructions land in a second batch, and one gather
+        through the upper-triangle index reads the result back.  Inside
+        ``lanes`` the worker threads run the lanes after the first while
+        the caller runs lane 0; elsewhere the caller runs them all.  1x1
+        blocks are clipped at zero without an eigendecomposition.  Only
+        the returned vector is newly allocated.  A non-finite eigenvalue
+        (LAPACK failed, or a block was not finite) raises
+        ``NumericalError`` naming every block of its dimension, also where
         warnings are errors and LAPACK's warning comes first.
         """
         plan = self._plan
@@ -339,22 +583,20 @@ class ConicProgram:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
         batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
         batch /= plan.divisor
-        try:
-            for mats, vals, vecs, _ in plan.groups:
-                _eigh(mats, signature="d->dd", out=(vals, vecs))
-        except RuntimeWarning:  # LAPACK's "invalid value" warning, raised as an error
-            raise _eigh_failed(mats) from None
-        if not math.isfinite(plan.vals.dot(plan.vals)):  # finite if every eigenvalue is
-            for mats, vals, _, _ in plan.groups:
-                if not np.isfinite(vals).all():
-                    raise _eigh_failed(mats)
+        workers = self._workers
+        found = (_project_in_threads(plan.lanes, workers) if workers
+                 else list(map(_project_lane, plan.lanes)))
+        if any(found):
+            failed = [f for f in found if f is not None]
+            for f in failed:
+                if isinstance(f, Exception):
+                    raise f
+            dim = min(failed)[1]   # a raised warning first, then the smallest dim
+            raise _eigh_failed(dim, [piece.mats for lane in plan.lanes
+                                     for piece in lane.pieces if piece.dim == dim])
         if plan.halfline is not None:
             mats, recon = plan.halfline
             np.maximum(mats, 0.0, out=recon)
-        for mats, vals, vecs, recon in plan.groups:
-            np.maximum(vals, 0.0, out=vals)
-            np.multiply(vecs, vals[:, None, :], out=mats)
-            np.matmul(mats, vecs.transpose(0, 2, 1), out=recon)
         out = plan.recon.take(plan.source)
         out *= plan.scale
         return out

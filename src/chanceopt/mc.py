@@ -27,13 +27,13 @@ draws.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Sequence
 
 import numpy as np
 
+from .conic import _usable_cpus
 from .errors import ChanceOptError, DimensionError, ModelError, ResourceError
 from .measures import check_samplable, sample
 from .poly import grevlex_key
@@ -158,14 +158,6 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     est = float(np.count_nonzero(member) / cfg.samples)
     half = 3.0 * float(np.sqrt(est * (1.0 - est) / cfg.samples))
     return est, half
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def grid_workers(points: int) -> int:

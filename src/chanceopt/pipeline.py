@@ -56,6 +56,7 @@ class OrderResult:
 def _trace_summary(trace: SolverTrace) -> dict:
     return {
         "status": trace.status,
+        "lanes": trace.lanes,
         "outer_iterations": trace.outer_iterations,
         "inner_iterations": trace.total_inner_iterations,
         "residual": trace.final_residual,

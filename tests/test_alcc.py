@@ -1,9 +1,12 @@
 """PSD projection, operator norms, the augmented Lagrangian, and the solver."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import util
+from chanceopt import conic, problems
 from chanceopt.alcc import (
     SolverParams,
     alcc_solve,
@@ -12,6 +15,8 @@ from chanceopt.alcc import (
     operator_norm,
 )
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
+from chanceopt.errors import NumericalError
+from chanceopt.relaxation import build_chance_sdp, scale_problem
 from util import project_psd
 
 
@@ -285,3 +290,59 @@ class TestAlccSolve:
             scaled_dual = params.beta * trace.records[-1].nu * trace.theta
             comp = abs(float(scaled_dual @ (prog.apply(trace.x) - prog.constants)))
             assert comp <= 1e-3 * (1.0 + abs(opt)), f"trial {trial}: comp {comp}"
+
+
+def _union_d2():
+    union, _ = problems.CONSTRUCTORS["example2_union"]()
+    return build_chance_sdp(scale_problem(union), 2)
+
+
+class TestLanes:
+    """A solve projects in per-CPU lanes: the same bits for any lane count,
+    and no thread, nor the one-thread OpenBLAS, outlives the solve."""
+
+    def test_same_trajectory_for_any_lane_count(self, monkeypatch):
+        runs = {}
+        for cpus in (1, 2, 3):
+            util.plan_for_cpus(monkeypatch, cpus)
+            trace = alcc_solve(_union_d2(), SolverParams(max_outer=2, max_inner_cap=200))
+            assert trace.lanes == cpus
+            runs[cpus] = (trace.x.tobytes(),
+                          [(r.inner_iters, r.inner_stop) for r in trace.records])
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    @pytest.mark.parametrize("ending", ["return", "raise", "interrupt"])
+    def test_nothing_outlives_a_solve(self, monkeypatch, ending):
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _union_d2()
+        blas_threads, set_blas_threads = conic._openblas_threads()
+        real, seen = conic._eigh, {"calls": 0, "blas": set()}
+
+        def eigh(*args, **kw):
+            if threading.current_thread() is threading.main_thread():
+                seen["calls"] += 1
+                seen["blas"].add(blas_threads())
+                if ending == "interrupt" and seen["calls"] == 20:
+                    raise KeyboardInterrupt
+            elif ending == "raise" and seen["calls"] >= 20:
+                raise RuntimeWarning("invalid value encountered in eigh_lo")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(conic, "_eigh", eigh)
+        params = SolverParams(max_outer=1, max_inner_cap=30)
+        original = blas_threads()
+        set_blas_threads(2)     # not 1, so a solve that leaves one thread is seen
+        try:
+            before = (threading.active_count(), blas_threads())
+            if ending == "return":
+                assert alcc_solve(prog, params).lanes == 2
+            else:
+                with pytest.raises(NumericalError if ending == "raise" else KeyboardInterrupt):
+                    alcc_solve(prog, params)
+            after = (threading.active_count(), blas_threads())
+        finally:
+            set_blas_threads(original)
+        assert seen["blas"] == {1}
+        assert after == before
+        assert prog._workers == []

@@ -1,12 +1,14 @@
 """Conic program container: simple set, block algebra, text export."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import util
-from chanceopt import problems
+from chanceopt import conic, problems
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
 from chanceopt.errors import NumericalError
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, scale_problem
@@ -71,11 +73,15 @@ class TestBlocks:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _projection_programs():
+def _union(order):
     union, _ = problems.CONSTRUCTORS["example2_union"]()
+    return build_chance_sdp(scale_problem(union), order)
+
+
+def _projection_programs():
     return {
         "toy_d2": build_chance_sdp(util.toy_problem(), 2),
-        "union_d2": build_chance_sdp(scale_problem(union), 2),
+        "union_d2": _union(2),
         "scalar_blocks": util.block_program(1, 3, 1, 2, 3),
         "stacked": util.block_program(66, 1, 2, 3, 6, 11, 21, 66, 21, 11, 6, 3, 2, 1),
     }
@@ -142,6 +148,120 @@ class TestProjectDual:
             z = rng.standard_normal(prog.operator.shape[0])
             assert np.allclose(prog.adjoint(z), util.to_dense(prog.operator).T @ z,
                                rtol=1e-13, atol=1e-13)
+
+
+_LANE_PROGRAMS = {
+    "union_d2": lambda: _union(2),
+    # a fresh program each time: the plan is built for the CPUs of its first use
+    "hand_built": lambda: util.block_program.__wrapped__(66, 66, 66, 11, 11, 1),
+}
+
+
+class TestLanes:
+    """The projection split into per-CPU lanes: the partition, and the same
+    bits for any number of lanes, failures included."""
+
+    @pytest.mark.parametrize("name, cpus, layout", [
+        ("toy_d2", 2, [[(3, 1), (6, 2)]]),
+        ("union_d1", 2, [[(11, 3)]]),
+        ("union_d1", 3, [[(11, 3)]]),
+        ("union_d2", 1, [[(11, 4), (66, 3)]]),
+        ("union_d2", 2, [[(66, 2)], [(11, 4), (66, 1)]]),
+        ("union_d2", 3, [[(11, 2), (66, 1)], [(11, 1), (66, 1)], [(11, 1), (66, 1)]]),
+    ])
+    def test_partition(self, monkeypatch, name, cpus, layout):
+        util.plan_for_cpus(monkeypatch, cpus)
+        build = {"toy_d2": lambda: build_chance_sdp(util.toy_problem(), 2),
+                 "union_d1": lambda: _union(1), "union_d2": lambda: _union(2)}
+        prog = build[name]()
+        assert util.lane_layout(prog) == layout
+        with prog.lanes() as lanes:
+            assert lanes == len(layout)
+
+    def test_partition_rule(self):
+        # largest first to the least-loaded lane; a lane needs a 30^3 load
+        assert conic._partition([66, 11, 11, 66, 11, 11, 66], 2) == [[0, 6], [3, 1, 2, 4, 5]]
+        assert conic._partition([6, 3, 6], 2) == [[0, 1, 2]]
+        assert conic._partition([30, 30], 2) == [[0], [1]]
+        assert conic._partition([30, 29], 2) == [[0, 1]]
+        assert conic._partition([66, 66, 11], 4) == [[0, 2], [1]]
+        assert conic._partition([66, 66], 1) == [[0, 1]]
+        assert conic._partition([], 2) == [[]]
+
+    @pytest.mark.parametrize("name", sorted(_LANE_PROGRAMS))
+    def test_same_bits_for_any_lane_count(self, monkeypatch, name):
+        rng = np.random.default_rng(11)
+        util.plan_for_cpus(monkeypatch, 1)
+        one = _LANE_PROGRAMS[name]()
+        vectors = [rng.standard_normal(one.operator.shape[0]) for _ in range(3)]
+        want = [one.project_dual(v).tobytes() for v in vectors]
+        for cpus in (2, 3):
+            util.plan_for_cpus(monkeypatch, cpus)
+            prog = _LANE_PROGRAMS[name]()
+            assert [prog.project_dual(v).tobytes() for v in vectors] == want  # one thread
+            with prog.lanes() as lanes:
+                assert lanes == cpus
+                assert [prog.project_dual(v).tobytes() for v in vectors] == want
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("blocks, match", [((1,), "3 blocks of dim 66"),
+                                               ((3,), "2 blocks of dim 11"),
+                                               ((0, 3), "2 blocks of dim 11")])
+    def test_failure_in_a_worker_lane_raises(self, monkeypatch, action, blocks, match):
+        # at 2 CPUs blocks 1 (66) and 3 (11) are in lane 1, a worker's, and
+        # block 0 (66) in lane 0; as in one lane, the smallest dim is named
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _LANE_PROGRAMS["hand_built"]()
+        assert util.lane_layout(prog) == [[(66, 2)], [(11, 2), (66, 1)]]
+        good = np.random.default_rng(12).standard_normal(prog.operator.shape[0])
+        bad = good.copy()
+        for block in blocks:
+            bad[prog.block_slices[block]] = np.nan
+        want = prog.project_dual(good).tobytes()
+        with prog.lanes():
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(NumericalError, match=match):
+                    prog.project_dual(bad)
+            assert prog.project_dual(good).tobytes() == want   # the lanes stay in step
+
+    def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
+        # four lanes of 45x45 blocks on any machine, the interpreter switching
+        # threads every microsecond: every call must still give the one-lane bits
+        dims = (45, 45, 45, 45, 6, 3, 1)
+        rng = np.random.default_rng(14)
+        util.plan_for_cpus(monkeypatch, 1)
+        one = util.block_program.__wrapped__(*dims)
+        util.plan_for_cpus(monkeypatch, 4)
+        prog = util.block_program.__wrapped__(*dims)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with prog.lanes() as lanes:
+                assert lanes == 4
+                for _ in range(100):
+                    s = rng.standard_normal(prog.operator.shape[0])
+                    assert prog.project_dual(s).tobytes() == one.project_dual(s).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_is_raised_by_the_caller(self, monkeypatch):
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _LANE_PROGRAMS["hand_built"]()
+        s = np.random.default_rng(13).standard_normal(prog.operator.shape[0])
+        real = conic._eigh
+
+        def fails_on_workers(*args, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return real(*args, **kw)
+
+        with prog.lanes():
+            monkeypatch.setattr(conic, "_eigh", fails_on_workers)
+            with pytest.raises(MemoryError, match="worker"):
+                prog.project_dual(s)
+            monkeypatch.setattr(conic, "_eigh", real)
+            prog.project_dual(s)
 
 
 def _parse_export(path):

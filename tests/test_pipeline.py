@@ -6,11 +6,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import util
+from chanceopt import problems
 from chanceopt.alcc import SolverParams
 from chanceopt.cli import main
 from chanceopt.mc import McConfig
@@ -67,6 +69,9 @@ class TestRunPipeline:
         res = report.results[0]
         refine = res.solver["refine"]
         assert set(refine) == {"indicator", "product"}
+        for summary in [res.solver, *refine.values()]:
+            assert list(summary)[:2] == ["status", "lanes"]
+            assert summary["lanes"] == 1    # the toy's blocks are too small to split
         for summary in refine.values():
             assert summary["status"] == "converged"
             assert summary["inner_iterations"] > 0
@@ -457,6 +462,46 @@ class TestCli:
         doc = json.loads((tmp_path / "toy_report.json").read_text())
         assert doc["status"] == "interrupted"
         assert "partial report" in capsys.readouterr().err
+
+    def test_solve_reports_lanes(self, monkeypatch):
+        util.plan_for_cpus(monkeypatch, 2)
+        union, options = problems.CONSTRUCTORS["example2_union"]()
+        options = dataclasses.replace(options, order=2,
+                                      solver=SolverParams(max_outer=1, max_inner_cap=20))
+        res = run_pipeline(union, options, "solve").results[0]
+        assert res.solver["lanes"] == 2
+
+    def test_interrupted_solve_in_lanes_writes_partial_report(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # grid_search forks, so no lane thread may outlive an interrupted solve
+        from chanceopt import conic
+        util.plan_for_cpus(monkeypatch, 2)
+        blas_threads, set_blas_threads = conic._openblas_threads()
+        real, calls = conic._eigh, [0]
+
+        def eigh(*args, **kw):
+            if threading.current_thread() is threading.main_thread():
+                calls[0] += 1
+                if calls[0] == 10:
+                    raise KeyboardInterrupt
+            return real(*args, **kw)
+
+        monkeypatch.setattr(conic, "_eigh", eigh)
+        original = blas_threads()
+        set_blas_threads(2)     # not 1, so a solve that leaves one thread is seen
+        try:
+            before = (threading.active_count(), blas_threads())
+            code = main(["solve", "example2_union", "--order", "2", "--max-outer", "2",
+                         "--max-inner-cap", "50", "--out-dir", str(tmp_path)])
+            after = (threading.active_count(), blas_threads())
+        finally:
+            set_blas_threads(original)
+        assert code == 130
+        assert calls[0] == 10
+        doc = json.loads((tmp_path / "example2_union_report.json").read_text())
+        assert doc["status"] == "interrupted"
+        assert "partial report" in capsys.readouterr().err
+        assert after == before
 
     def test_interrupt_after_first_order_keeps_sweep_name(
             self, toy_file, tmp_path, monkeypatch):

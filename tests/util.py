@@ -254,6 +254,27 @@ def block_program(*dims: int) -> ConicProgram:
     return ConicProgram(objective=np.zeros(1), blocks=blocks, simple_set=box)
 
 
+def plan_for_cpus(monkeypatch, cpus: int) -> None:
+    """Make projection plans built from now on split for ``cpus`` usable CPUs.
+
+    Where numpy's BLAS is not an OpenBLAS whose thread count can be set, a
+    stand-in count takes its place, so the lanes run on every machine.
+    """
+    from chanceopt import conic
+
+    monkeypatch.setattr(conic, "_usable_cpus", lambda: cpus)
+    if conic._openblas_threads() is None:
+        count = [1]
+        monkeypatch.setattr(conic, "_openblas_threads",
+                            lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+
+
+def lane_layout(program: ConicProgram) -> list:
+    """(dim, blocks) of each piece of each lane of the program's projection plan."""
+    return [[(piece.dim, len(piece.mats)) for piece in lane.pieces]
+            for lane in program._plan.lanes]
+
+
 def project_psd(mat: np.ndarray) -> np.ndarray:
     """PSD projection of one symmetric matrix by ``ConicProgram.project_dual``."""
     dim = mat.shape[0]
