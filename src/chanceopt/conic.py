@@ -39,22 +39,23 @@ use, so its projection is one maximum and one minimum.
 The projection's cost is the eigendecompositions of the large blocks
 (from union order 2 on), so while ``ConicProgram.lanes`` is active, as it
 is for every ``alcc_solve``, the plan's blocks are split into lanes: lane
-0 is the caller's thread and each other lane has one worker thread,
-started when the solve starts and joined when it ends.  The plan makes
-the split once, for the CPUs usable when it is built: blocks go largest
-first to the least-loaded lane, at a cost of dim**3 each, and a second
-lane is used only when every lane's work is well above one thread
-handoff (``_LANE_MIN_WORK``); the batch is laid out lane by lane, so each lane
-eigendecomposes, clips and rebuilds its own contiguous slices of the
-plan's buffers, while the gather before and the read-back after stay one
-call each.  Each block still goes through the same LAPACK call on the
-same data, so the result is the same bits for any number of lanes.  For
-the solve's duration the OpenBLAS that numpy loaded is held at one thread
-(its own threads would only compete with the lanes) and its count is
-restored afterwards.  Where there is one usable CPU, no OpenBLAS whose
-thread count can be set, or no block large enough, the plan has one lane:
-one batched call per dimension on the caller's thread, with OpenBLAS left
-as it is.  Outside ``lanes`` the caller's thread runs every lane in turn.
+0 runs on the caller's thread and the other lanes run as tasks of a
+thread pool that lives for the solve, one thread per lane.  The plan
+makes the split once, for the CPUs usable when it is built: blocks go
+largest first to the least-loaded lane, at a cost of dim**3 each, and a
+second lane is used only when every lane's work is well above one
+handoff to the pool (``_LANE_MIN_WORK``); the batch is laid out lane by
+lane, so each lane eigendecomposes, clips and rebuilds its own contiguous
+slices of the plan's buffers, while the gather before and the read-back
+after stay one call each.  Each block still goes through the same LAPACK
+call on the same data, so the result is the same bits for any number of
+lanes.  For the solve's duration the OpenBLAS that numpy loaded is held
+at one thread (its own threads would only compete with the lanes) and
+its count is restored afterwards.  Where there is one usable CPU, no
+OpenBLAS whose thread count can be set, or no block large enough, the
+plan has one lane: one batched call per dimension on the caller's
+thread, with OpenBLAS left as it is and no pool.  Outside ``lanes`` the
+caller's thread runs every lane in turn.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import contextvars
 import ctypes
 import math
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -75,6 +75,8 @@ from numpy.linalg import _umath_linalg
 from .errors import NumericalError
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from .relaxation import ProgramMeta
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -92,10 +94,11 @@ def _eigh_failed(dim: int, parts: list) -> NumericalError:
 # the work of one 30x30 block (costs counted as dim**3).  Measured on a
 # 2-vCPU host with OpenBLAS at one thread: one eigendecomposition takes
 # 10.6 us at dim 6, 26 us at 11, 92 us at 21, 155 us at 30, 345 us at 45
-# and 626 us at 66, and handing a lane to a waiting thread and waiting
-# for its reply (a lock round trip) takes 17 us; so a lane's work is at
-# least nine handoffs.  Small blocks cost more per dim**3, which makes
-# the rule err toward one lane.
+# and 626 us at 66, and submitting an empty lane to an idle pool thread
+# and waiting for it takes about 90 us; so a lane's work is at least
+# about two handoffs.  At that least work (two 30x30 blocks) two lanes
+# take as long as one; at union order 2 (about 1,300 us per lane) they
+# take about 70% of the one-lane time.
 _LANE_MIN_WORK = 30**3
 
 
@@ -368,63 +371,6 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
     return None
 
 
-def _project_in_threads(lanes: list, workers: list) -> list:
-    """Lane 0 on the caller's thread, each other lane on its worker; the
-    result of every lane, and every worker is waited for however lane 0 ends."""
-    for worker in workers:
-        worker.go.release()
-    found = []
-    try:
-        found.append(_project_lane(lanes[0]))
-    finally:
-        found.extend([worker.wait() for worker in workers])
-    return found
-
-
-class _Worker:
-    """A thread that projects one lane each time the caller releases it.
-
-    The thread runs in a copy of the starting caller's context, which holds
-    numpy's error state, so floating-point errors are treated as on the
-    caller's thread; an exception other than a failed projection is kept
-    and raised again by the caller.
-    """
-
-    def __init__(self, lane: _Lane, name: str):
-        self.lane = lane
-        self.result = None
-        self.stopping = False
-        self.go, self.done = threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.thread = threading.Thread(target=contextvars.copy_context().run,
-                                       args=(self._serve,), name=name, daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self.go.acquire()
-            if self.stopping:
-                return
-            try:
-                self.result = _project_lane(self.lane)
-            except Exception as exc:    # handed to the caller, which raises it
-                self.result = exc
-            self.done.release()
-
-    def wait(self):
-        self.done.acquire()
-        return self.result
-
-    def stop(self) -> None:
-        self.stopping = True
-        # only the caller releases `go`; unlocked, it is released already
-        # and the thread will see `stopping` when it takes it
-        if self.go.locked():
-            self.go.release()
-        self.thread.join()
-
-
 @dataclass
 class ConicProgram:
     """A conic program with its stacked operator and projection plan.
@@ -438,7 +384,8 @@ class ConicProgram:
     blocks: list
     simple_set: SimpleSet
     meta: Optional[ProgramMeta] = None   # set by the relaxation builders
-    _workers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _pool: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def num_scalars(self) -> int:
@@ -539,26 +486,28 @@ class ConicProgram:
     def lanes(self) -> Iterator[int]:
         """Project on one thread per lane of the plan while the block runs.
 
-        Yields the number of lanes.  With more than one, the worker
-        threads start here and are joined on the way out, however the
-        block ends, and the OpenBLAS that numpy loaded runs at one thread
-        meanwhile; its thread count is then restored.
+        Yields the number of lanes.  With more than one, a pool with one
+        thread per lane after the first opens here and is shut down on the
+        way out, however the block ends, and the OpenBLAS that numpy loaded
+        runs at one thread meanwhile; its thread count is then restored.
+        An entry while the pool is open starts nothing.
         """
-        plan_lanes = self._plan.lanes
-        if len(plan_lanes) == 1:
-            yield 1
+        count = len(self._plan.lanes)
+        if count == 1 or self._pool is not None:
+            yield count
             return
+        # imported here, not at the top: it loads logging, which every run would pay for
+        from concurrent.futures import ThreadPoolExecutor
+
         get, put = _openblas_threads()
         before = get()
         put(1)
         try:
-            for i, lane in enumerate(plan_lanes[1:], 1):
-                self._workers.append(_Worker(lane, f"chanceopt-lane-{i}"))
-            yield len(plan_lanes)
+            with ThreadPoolExecutor(count - 1, thread_name_prefix="chanceopt-lane") as pool:
+                self._pool = pool
+                yield count
         finally:
-            workers, self._workers = self._workers, []
-            for worker in workers:
-                worker.stop()
+            self._pool = None
             put(before)
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
@@ -570,8 +519,8 @@ class ConicProgram:
         of equal dimension share one batched eigendecomposition, their
         clipped reconstructions land in a second batch, and one gather
         through the upper-triangle index reads the result back.  Inside
-        ``lanes`` the worker threads run the lanes after the first while
-        the caller runs lane 0; elsewhere the caller runs them all.  1x1
+        ``lanes`` the pool runs the lanes after the first while the
+        caller runs lane 0; elsewhere the caller runs them all.  1x1
         blocks are clipped at zero without an eigendecomposition.  Only
         the returned vector is newly allocated.  A non-finite eigenvalue
         (LAPACK failed, or a block was not finite) raises
@@ -583,14 +532,24 @@ class ConicProgram:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
         batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
         batch /= plan.divisor
-        workers = self._workers
-        found = (_project_in_threads(plan.lanes, workers) if workers
-                 else list(map(_project_lane, plan.lanes)))
+        pool = self._pool
+        if pool is None:
+            found = list(map(_project_lane, plan.lanes))
+        else:
+            # each task runs in a copy of the caller's context, which holds
+            # numpy's error state, so floating-point errors are treated alike
+            tasks = [pool.submit(contextvars.copy_context().run, _project_lane, lane)
+                     for lane in plan.lanes[1:]]
+            try:
+                found = [_project_lane(plan.lanes[0])]
+            finally:
+                # no lane may still write the buffers once this returns;
+                # exception() waits as concurrent.futures.wait does, at a tenth of its cost
+                for task in tasks:
+                    task.exception()
+            found += [task.result() for task in tasks]   # raises a lane's exception
         if any(found):
             failed = [f for f in found if f is not None]
-            for f in failed:
-                if isinstance(f, Exception):
-                    raise f
             dim = min(failed)[1]   # a raised warning first, then the smallest dim
             raise _eigh_failed(dim, [piece.mats for lane in plan.lanes
                                      for piece in lane.pieces if piece.dim == dim])

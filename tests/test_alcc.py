@@ -345,4 +345,4 @@ class TestLanes:
             set_blas_threads(original)
         assert seen["blas"] == {1}
         assert after == before
-        assert prog._workers == []
+        assert prog._pool is None

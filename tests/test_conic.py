@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -262,6 +263,57 @@ class TestLanes:
                 prog.project_dual(s)
             monkeypatch.setattr(conic, "_eigh", real)
             prog.project_dual(s)
+
+    def test_caller_failure_waits_for_every_lane(self, monkeypatch):
+        # lane 0 raising reaches the caller only once no pool lane writes the
+        # plan's buffers any more
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _LANE_PROGRAMS["hand_built"]()
+        s = np.random.default_rng(16).standard_normal(prog.operator.shape[0])
+        real, started, done = conic._eigh, threading.Event(), []
+
+        def eigh(*args, **kw):
+            if threading.current_thread() is threading.main_thread():
+                started.wait(timeout=10)
+                raise MemoryError("caller")
+            started.set()
+            time.sleep(0.05)
+            real(*args, **kw)
+            done.append(kw["out"][0].shape)
+
+        with prog.lanes():
+            monkeypatch.setattr(conic, "_eigh", eigh)
+            with pytest.raises(MemoryError, match="caller"):
+                prog.project_dual(s)
+            assert done == [(2, 11), (1, 66)]    # lane 1's pieces, both finished
+
+    def test_nested_lanes_start_nothing(self, monkeypatch):
+        # an inner entry neither adds a thread per lane, which would write the
+        # same buffers twice, nor stops the outer block's pool on its way out
+        util.plan_for_cpus(monkeypatch, 1)
+        one = _LANE_PROGRAMS["union_d2"]()
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _LANE_PROGRAMS["union_d2"]()
+        rng = np.random.default_rng(15)
+        vectors = [rng.standard_normal(prog.operator.shape[0]) for _ in range(30)]
+        want = [one.project_dual(v).tobytes() for v in vectors]
+        real, threads = conic._eigh, set()
+
+        def eigh(*args, **kw):
+            threads.add(threading.current_thread())
+            return real(*args, **kw)
+
+        monkeypatch.setattr(conic, "_eigh", eigh)
+        with prog.lanes():
+            prog.project_dual(vectors[0])
+            outer = threading.active_count()
+            with prog.lanes() as lanes:
+                assert lanes == 2
+                assert [prog.project_dual(v).tobytes() for v in vectors] == want
+                assert threading.active_count() == outer
+            threads.clear()
+            assert [prog.project_dual(v).tobytes() for v in vectors] == want
+            assert len(threads) == 2 and threading.main_thread() in threads
 
 
 def _parse_export(path):
