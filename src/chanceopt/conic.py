@@ -350,7 +350,8 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
     """Eigendecompose, clip and rebuild one lane's pieces in place.
 
     Returns None, ``(0, dim)`` when LAPACK's "invalid value" warning was
-    raised as an error on the piece of that dimension, or ``(1, dim)`` for
+    raised as an error on the piece of that dimension (a warnings filter
+    of "error", or numpy's error state "raise"), or ``(1, dim)`` for
     the first piece with a non-finite eigenvalue (LAPACK failed, or a
     block was not finite); the lane then stops before rebuilding.
     """
@@ -358,7 +359,7 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
     for dim, mats, vals, vecs, _ in pieces:
         try:
             _eigh(mats, signature="d->dd", out=(vals, vecs))
-        except RuntimeWarning:
+        except (RuntimeWarning, FloatingPointError):
             return 0, dim
     if not math.isfinite(lane_vals.dot(lane_vals)):  # finite if every eigenvalue is
         for dim, _, vals, _, _ in pieces:
@@ -525,7 +526,8 @@ class ConicProgram:
         the returned vector is newly allocated.  A non-finite eigenvalue
         (LAPACK failed, or a block was not finite) raises
         ``NumericalError`` naming every block of its dimension, also where
-        warnings are errors and LAPACK's warning comes first.
+        warnings are errors, or numpy's error state raises, and LAPACK's
+        warning comes first.
         """
         plan = self._plan
         if s.shape != plan.source.shape:

@@ -23,6 +23,14 @@ all P polynomials; a draw is inside a set when all of the set's rows (a
 contiguous range) are ``>= 0``, and inside the union when it is inside
 any set.  The estimate is the count of draws inside over the number of
 draws.
+
+The estimator streams its draws from ``sample_blocks`` one block of
+``_BLOCK`` draws at a time, so a verification holds O(m x 4,096) draws
+whatever its sample count.  The grid search draws each point's samples
+at once with ``sample`` (20,000 x 4 doubles, 640 KB, for the control
+benchmark): copying the generator per coordinate, as the stream does,
+would cost time at every point, and a point's memory does not grow with
+the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 
 from .conic import _usable_cpus
 from .errors import ChanceOptError, DimensionError, ModelError, ResourceError
-from .measures import check_samplable, sample
+from .measures import check_samplable, sample, sample_blocks
 from .poly import grevlex_key
 from .relaxation import ChanceProblem
 
@@ -146,16 +154,19 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     """Estimate the union probability at decision ``x``.
 
     Returns the sample mean and the binomial 3-sigma half width.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The draws are streamed in blocks of
+    ``_BLOCK`` (:func:`~chanceopt.measures.sample_blocks`), so memory
+    stays O(m x 4,096) whatever ``cfg.samples`` is.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionError(f"decision has shape {x.shape}, expected ({problem.n},)")
     if len(bad := np.flatnonzero(~np.isfinite(x))):
         raise ModelError(f"decision entry {bad[0]} is {x[bad[0]]}, not finite")
-    draws = sample(problem.dist, cfg.samples, cfg.seed)
-    member = UnionEvaluator(problem).membership(x, draws)
-    est = float(np.count_nonzero(member) / cfg.samples)
+    evaluator = UnionEvaluator(problem)
+    inside = sum(np.count_nonzero(evaluator.membership(x, draws))
+                 for draws in sample_blocks(problem.dist, cfg.samples, cfg.seed, _BLOCK))
+    est = float(inside / cfg.samples)
     half = 3.0 * float(np.sqrt(est * (1.0 - est) / cfg.samples))
     return est, half
 

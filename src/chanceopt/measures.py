@@ -12,6 +12,12 @@ The lift maps decision moments to the joint moments of the independent
 product of the decision measure with the random-parameter measure: the
 joint entry at exponent (alpha, beta) is the decision moment at alpha
 times the random moment at beta, with decision coordinates first.
+
+Sampling draws every coordinate from one generator, in coordinate order.
+:func:`sample` returns all the draws at once, which the grid search does
+for each point's draws; :func:`sample_blocks` yields the same draws block
+by block from one reused buffer, so the Monte Carlo verification holds
+O(m x 4,096) draws whatever its sample count.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -171,6 +177,64 @@ def check_samplable(spec: DistributionSpec) -> None:
             raise ModelError(f"coordinate {i}: cannot sample from an explicit moment list")
 
 
+def _draw(rng: np.random.Generator, dist: Distribution, row: np.ndarray) -> None:
+    """Fill ``row`` with draws of one marginal, in a single call on ``rng``."""
+    if isinstance(dist, Uniform):
+        # numpy's uniform is lo + (hi - lo) * u, rounded step by step
+        rng.random(out=row)
+        row *= dist.hi - dist.lo
+        row += dist.lo
+    else:   # Beta: check_samplable turned explicit moment lists away
+        row[:] = rng.beta(dist.alpha, dist.beta, size=len(row))
+
+
+def sample_blocks(spec: DistributionSpec, count: int, seed,
+                  block: int) -> Iterator[np.ndarray]:
+    """Yield the draws of ``sample(spec, count, seed)`` in blocks of ``block``.
+
+    Each block is a ``(width, m)`` transposed view of one ``(m, block)``
+    buffer that the next block overwrites, so a caller streaming ``count``
+    draws holds ``m * block`` of them at a time, the Beta coordinates
+    aside.  Together the blocks are the rows of :func:`sample`, bit for
+    bit.  Where the generator is PCG64 (``default_rng``'s), a Uniform
+    coordinate draws from its own copy of the bit generator, set where
+    ``sample``'s single call for it would start, and the shared one is
+    advanced past those ``count`` draws (``Generator.random`` takes one
+    64-bit step per double).  A Beta coordinate is drawn by rejection, a
+    variable number of steps, so it is drawn whole in coordinate order
+    and handed out a block at a time.  With ``count <= block``, or another
+    bit generator, the only block holds every draw.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    check_samplable(spec)
+    rng = np.random.default_rng(seed)
+    if count <= block or not isinstance(rng.bit_generator, np.random.PCG64):
+        out = np.empty((spec.m, count))
+        for dist, row in zip(spec.coords, out):
+            _draw(rng, dist, row)
+        yield out.T
+        return
+    streams = []
+    for dist in spec.coords:
+        if isinstance(dist, Uniform):
+            own = np.random.PCG64()
+            own.state = rng.bit_generator.state
+            rng.bit_generator.advance(count)
+            streams.append(np.random.Generator(own))
+        else:
+            streams.append(rng.beta(dist.alpha, dist.beta, size=count))
+    out = np.empty((spec.m, block))
+    for start in range(0, count, block):
+        width = min(block, count - start)
+        for dist, row, stream in zip(spec.coords, out[:, :width], streams):
+            if isinstance(dist, Uniform):
+                _draw(stream, dist, row)
+            else:
+                row[:] = stream[start:start + width]
+        yield out[:, :width].T
+
+
 def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     """Draw ``count`` independent joint samples; deterministic per seed.
 
@@ -180,19 +244,10 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     which is the layout :class:`chanceopt.mc.UnionEvaluator` reads.
     Coordinates are drawn one after another from one generator, each in a
     single call, so the draws equal ``rng.uniform(lo, hi, count)`` and
-    ``rng.beta(a, b, count)`` column by column.
+    ``rng.beta(a, b, count)`` column by column.  It holds all ``count * m``
+    draws at once, as the grid search does for each point's draws; the
+    Monte Carlo verification takes the same draws from
+    :func:`sample_blocks`, 4,096 at a time, so it holds O(m x 4,096) draws
+    whatever its sample count.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    check_samplable(spec)
-    rng = np.random.default_rng(seed)
-    out = np.empty((spec.m, count))
-    for dist, row in zip(spec.coords, out):
-        if isinstance(dist, Uniform):
-            # numpy's uniform is lo + (hi - lo) * u, rounded step by step
-            rng.random(out=row)
-            row *= dist.hi - dist.lo
-            row += dist.lo
-        else:   # Beta: check_samplable turned explicit moment lists away
-            row[:] = rng.beta(dist.alpha, dist.beta, size=count)
-    return out.T
+    return next(sample_blocks(spec, count, seed, count))

@@ -1,5 +1,6 @@
 """Conic program container: simple set, block algebra, text export."""
 
+import contextlib
 import sys
 import threading
 import time
@@ -74,6 +75,19 @@ class TestBlocks:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@contextlib.contextmanager
+def _failure_mode(action):
+    """Where LAPACK's invalid-value warning goes: the warnings filter
+    ``action``, or, for "raise", numpy's error state that raises it as a
+    ``FloatingPointError``."""
+    with warnings.catch_warnings(), contextlib.ExitStack() as stack:
+        if action == "raise":
+            stack.enter_context(np.errstate(invalid="raise"))
+        else:
+            warnings.simplefilter(action)
+        yield
+
+
 def _union(order):
     union, _ = problems.CONSTRUCTORS["example2_union"]()
     return build_chance_sdp(scale_problem(union), order)
@@ -130,16 +144,19 @@ class TestProjectDual:
         once = prog.project_dual(s)
         assert np.max(np.abs(prog.project_dual(once) - once)) <= 1e-10
 
-    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
     def test_failed_eigendecomposition_raises(self, programs, action):
-        # under "error" LAPACK's invalid-value warning comes before the check
-        prog = programs["scalar_blocks"]
-        s = np.zeros(prog.operator.shape[0])
-        s[prog.block_slices[1]] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter(action)
-            with pytest.raises(NumericalError, match="2 blocks of dim 3"):
-                prog.project_dual(s)
+        # under "error" and "raise" LAPACK's invalid-value warning comes
+        # before the check, as a RuntimeWarning or a FloatingPointError
+        for name, block, match in (("scalar_blocks", 1, "2 blocks of dim 3"),
+                                   ("toy_d2", 1, "1 blocks of dim 3"),
+                                   ("union_d2", 1, "4 blocks of dim 11")):
+            prog = programs[name]
+            s = np.zeros(prog.operator.shape[0])
+            s[prog.block_slices[block]] = np.nan
+            with _failure_mode(action):
+                with pytest.raises(NumericalError, match=match):
+                    prog.project_dual(s)
 
     @pytest.mark.parametrize("name", ["toy_d2", "union_d2"])
     def test_adjoint_is_transpose_on_repeated_calls(self, programs, name):
@@ -204,7 +221,7 @@ class TestLanes:
                 assert lanes == cpus
                 assert [prog.project_dual(v).tobytes() for v in vectors] == want
 
-    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
     @pytest.mark.parametrize("blocks, match", [((1,), "3 blocks of dim 66"),
                                                ((3,), "2 blocks of dim 11"),
                                                ((0, 3), "2 blocks of dim 11")])
@@ -220,11 +237,30 @@ class TestLanes:
             bad[prog.block_slices[block]] = np.nan
         want = prog.project_dual(good).tobytes()
         with prog.lanes():
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
+            with _failure_mode(action):
                 with pytest.raises(NumericalError, match=match):
                     prog.project_dual(bad)
             assert prog.project_dual(good).tobytes() == want   # the lanes stay in step
+
+    @pytest.mark.parametrize("block, match", [(0, "3 blocks of dim 66"),
+                                              (3, "2 blocks of dim 11")])
+    def test_lanes_use_the_callers_error_state_at_call_time(self, monkeypatch, block,
+                                                            match):
+        # block 0 is in lane 0, the caller's, and block 3 in lane 1, a worker's;
+        # the pool's thread exists before the error state is entered, so only
+        # the state read at the call keeps LAPACK's warning silent there
+        util.plan_for_cpus(monkeypatch, 2)
+        prog = _LANE_PROGRAMS["hand_built"]()
+        good = np.random.default_rng(17).standard_normal(prog.operator.shape[0])
+        bad = good.copy()
+        bad[prog.block_slices[block]] = np.nan
+        with prog.lanes():
+            prog.project_dual(good)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericalError, match=match):
+                    prog.project_dual(bad)
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
     def test_more_lanes_than_cores_under_fast_switching(self, monkeypatch):
         # four lanes of 45x45 blocks on any machine, the interpreter switching

@@ -1,6 +1,7 @@
 """Monte Carlo estimator and grid-search baseline."""
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ class TestEstimate:
         est1, _ = estimate_probability(one, [0.0], cfg)
         est2, _ = estimate_probability(two, [0.0], cfg)
         assert est2 >= est1
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # the draws stream in blocks: a million union draws (40 MB at once)
+        # peak under 1 MB; the first call pays the one-time compile caches
+        prob, _ = load_bundled("example2_union")
+        x = [0.1, -0.11, 0.25, -0.22, 0.35]
+        estimate_probability(prob, x, McConfig(samples=10_000, seed=0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est, _ = estimate_probability(prob, x, McConfig(samples=10**6, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert est == 688_970 / 10**6
 
     def test_calibration_known_half(self):
         # 50 independent estimates of a probability-1/2 event: at least 45

@@ -13,6 +13,7 @@ from chanceopt.measures import (
     lift_factors,
     moment_vector,
     sample,
+    sample_blocks,
     univariate_cheb_moment,
     univariate_moment,
 )
@@ -229,12 +230,35 @@ class TestSampling:
                                        Uniform(0.0, 1e-3))), id="mixed"),
     ])
     def test_matches_reference_sample(self, spec):
-        for count in (1, 4095, 4096, 4097, 20_000):
+        for count in (1, 4095, 4096, 4097, 3 * 4096 + 7, 20_000):
             for seed in (3, np.random.SeedSequence([5, count])):
+                want = reference_sample(spec, count, seed)
                 draws = sample(spec, count, seed)
                 assert draws.shape == (count, spec.m)
                 assert draws.T.flags.c_contiguous  # coordinate-major storage
-                assert np.array_equal(draws, reference_sample(spec, count, seed))
+                assert np.array_equal(draws, want)
+                blocks = list(sample_blocks(spec, count, seed, 4096))
+                widths = [4096] * (count // 4096) + [count % 4096] * (count % 4096 > 0)
+                assert [len(b) for b in blocks] == widths
+                assert all(b.strides[0] == b.itemsize for b in blocks)  # coordinate-major
+                # each block overwrote the one buffer, which holds the last block now
+                assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+                assert np.array_equal(blocks[-1], want[-widths[-1]:])
+                copies = [b.copy() for b in sample_blocks(spec, count, seed, 4096)]
+                assert np.array_equal(np.concatenate(copies), want)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+    def test_stream_leaves_the_generator_as_sample_does(self, bits):
+        # a caller's generator is drawn from, not copied: the stream advances
+        # it past every draw, as sample's single calls do; a bit generator
+        # other than PCG64 gets one block
+        spec = DistributionSpec((Uniform(-1, 1), Beta(2, 5), Uniform(0, 3)))
+        whole, streamed = (np.random.Generator(bits(21)) for _ in range(2))
+        want = sample(spec, 10_000, whole)
+        blocks = [b.copy() for b in sample_blocks(spec, 10_000, streamed, 4096)]
+        assert len(blocks) == (3 if bits is np.random.PCG64 else 1)
+        assert np.array_equal(np.concatenate(blocks), want)
+        assert np.array_equal(streamed.random(5), whole.random(5))
 
     def test_uniform_range_overflow(self):
         # numpy's own sampler overflows on this width; the law is rejected first
@@ -245,3 +269,5 @@ class TestSampling:
         spec = DistributionSpec((ExplicitMoments((1.0, 0.0, 0.3)),))
         with pytest.raises(ModelError):
             sample(spec, 10, 0)
+        with pytest.raises(ModelError):
+            next(sample_blocks(spec, 10_000, 0, 4096))
