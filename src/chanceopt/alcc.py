@@ -22,13 +22,18 @@ reuses its buffers: the gradient array becomes the gradient step and
 then the projected step, and the extrapolated point is rewritten in
 place.  Each operation and its order are those of the plain formulas,
 so the iterates are the same bits.
+
+``alcc_steps`` yields each outer's ``OuterState``: record, iterate and
+``Z = nu_k proj(theta + b - A(x))``, the PSD dual of the objective.
+``alcc_solve`` stops it on the relative change of x and keeps the last
+Z as ``SolverTrace.dual``; the rescaled theta never leaves this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,7 +88,6 @@ class OuterRecord:
     inner_iters: int
     residual: float
     objective: float
-    dual_norm: float
     inner_stop: str
     cap_limited: bool
 
@@ -92,7 +96,7 @@ class OuterRecord:
 class SolverTrace:
     records: list
     x: np.ndarray
-    theta: np.ndarray
+    dual: np.ndarray                 # the last outer's Z, the PSD dual of the objective
     status: str                      # converged | stalled | max_outer
     sigma_max: float
     sigma_converged: bool
@@ -193,6 +197,55 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
         t = t_next
 
 
+class OuterState(NamedTuple):
+    record: OuterRecord
+    x: np.ndarray
+    dual: np.ndarray     # Z = nu_k proj(theta + b - A(x)), the PSD dual of the objective
+
+
+def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
+               sigma: float) -> Iterator[OuterState]:
+    """Yield the state after each outer iteration, at most ``params.max_outer``.
+
+    ``x`` is the start point, a point of the simple set, and ``sigma`` the
+    operator norm.  Projections run in lanes only inside ``program.lanes()``,
+    with the same bits.  Raises ``NumericalError`` on a non-finite iterate.
+    """
+    L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
+    B = program.simple_set.diameter()
+    c, b = program.objective, program.constants
+    theta = np.zeros(len(b))
+
+    # eta_0 from the initial composite gradient, dual started at zero
+    grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
+    eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
+    if eta0 == 0.0:
+        eta0 = 1.0
+
+    for k in range(1, params.max_outer + 1):
+        nu_k = params.beta**k * params.nu0
+        decay = k ** (2.0 * (1.0 + params.c)) * params.beta**k
+        eta_k = eta0 / decay
+        ell_exact = k ** (1.0 + params.c) * params.beta**k * B * np.sqrt(
+            2.0 * params.nu0 * L / params.alpha0
+        )
+        cap_limited = ell_exact > params.max_inner_cap
+        ell_max = min(ell_exact, float(params.max_inner_cap))
+
+        x, inner, reason = apg_inner(program, x, nu_k, theta, L, eta_k / nu_k, ell_max)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(f"non-finite iterate at outer iteration {k}")
+        record = OuterRecord(
+            k=k, nu=nu_k, inner_iters=inner, residual=program.cone_distance(x),
+            objective=float(c @ x), inner_stop=reason, cap_limited=cap_limited,
+        )
+
+        # theta is kept as proj(.) scaled by nu_k / nu_{k+1} for the next outer
+        proj = program.project_dual(theta + b - program.apply(x))
+        theta = (nu_k / (params.beta ** (k + 1) * params.nu0)) * proj
+        yield OuterState(record, x, nu_k * proj)
+
+
 def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
                x0: Optional[np.ndarray] = None) -> SolverTrace:
     """Run the full outer/inner scheme on a conic program.
@@ -202,67 +255,29 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     the relative-change stop fires with a small feasibility residual,
     ``stalled`` when it fires while still noticeably infeasible, and
     ``max_outer`` when the iteration budget is exhausted first.  The PSD
-    projections run in the program's ``lanes`` for the whole solve.
+    projections run in the program's ``lanes`` for the whole solve.  A
+    ``NumericalError`` carries the trace so far as ``.trace``.
     """
     x0 = np.zeros(program.num_scalars) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (program.num_scalars,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({program.num_scalars},)")
     with program.lanes() as lanes:
         norm_info = operator_norm(program, seed=params.seed)
-        sigma = norm_info.sigma
-        L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
-        B = program.simple_set.diameter()
-
-        c = program.objective
-        b = program.constants
-        x = program.simple_set.project(x0)
-        theta = np.zeros(len(b))
-
-        # eta_0 from the initial composite gradient, dual started at zero
-        grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
-        eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
-        if eta0 == 0.0:
-            eta0 = 1.0
-
-        records = []
-        status = "max_outer"
-        resid_scale = 1.0 + float(np.linalg.norm(b))
-        for k in range(1, params.max_outer + 1):
-            nu_k = params.beta**k * params.nu0
-            decay = k ** (2.0 * (1.0 + params.c)) * params.beta**k
-            eta_k = eta0 / decay
-            ell_exact = k ** (1.0 + params.c) * params.beta**k * B * np.sqrt(
-                2.0 * params.nu0 * L / params.alpha0
-            )
-            cap_limited = ell_exact > params.max_inner_cap
-            ell_max = min(ell_exact, float(params.max_inner_cap))
-
-            x_new, inner, reason = apg_inner(
-                program, x, nu_k, theta, L, eta_k / nu_k, ell_max
-            )
-            if not np.all(np.isfinite(x_new)):
-                trace = SolverTrace(records, x, theta, "numerical_error", sigma,
-                                    norm_info.converged, lanes)
-                err = NumericalError(f"non-finite iterate at outer iteration {k}")
-                err.trace = trace
-                raise err
-
-            residual = program.cone_distance(x_new)
-            records.append(OuterRecord(
-                k=k, nu=nu_k, inner_iters=inner, residual=residual,
-                objective=float(c @ x_new), dual_norm=float(np.linalg.norm(theta)),
-                inner_stop=reason, cap_limited=cap_limited,
-            ))
-
-            nu_next = params.beta ** (k + 1) * params.nu0
-            theta = (nu_k / nu_next) * program.project_dual(
-                theta + b - program.apply(x_new)
-            )
-
-            rel_change = float(np.linalg.norm(x_new - x)) / (1.0 + float(np.linalg.norm(x)))
-            x = x_new
-            if rel_change <= params.tol:
-                status = "converged" if residual <= 1e-3 * resid_scale else "stalled"
-                break
-
-    return SolverTrace(records, x, theta, status, sigma, norm_info.converged, lanes)
+        trace = SolverTrace([], program.simple_set.project(x0), np.zeros(len(program.constants)),
+                            "max_outer", norm_info.sigma, norm_info.converged, lanes)
+        resid_scale = 1.0 + float(np.linalg.norm(program.constants))
+        try:
+            for state in alcc_steps(program, params, trace.x, norm_info.sigma):
+                trace.records.append(state.record)
+                x = trace.x
+                rel_change = float(np.linalg.norm(state.x - x)) / (1.0 + float(np.linalg.norm(x)))
+                trace.x, trace.dual = state.x, state.dual
+                if rel_change <= params.tol:
+                    small = state.record.residual <= 1e-3 * resid_scale
+                    trace.status = "converged" if small else "stalled"
+                    break
+        except NumericalError as err:
+            trace.status = "numerical_error"
+            err.trace = trace
+            raise
+    return trace

@@ -203,9 +203,7 @@ def test_criterion_7_planted_conic_programs():
         worst["obj"] = max(worst["obj"],
                            abs(trace.final_objective - opt) / (1 + abs(opt)))
         worst["resid"] = max(worst["resid"], trace.final_residual)
-        # theta is stored rescaled by nu_k / nu_{k+1}; beta undoes that
-        scaled_dual = params.beta * trace.records[-1].nu * trace.theta
-        comp = abs(float(scaled_dual @ (program.apply(trace.x) - program.constants)))
+        comp = abs(float(trace.dual @ (program.apply(trace.x) - program.constants)))
         worst["comp"] = max(worst["comp"], comp / (1 + abs(opt)))
     ok = (worst["obj"] <= 1e-3 and worst["resid"] <= 1e-4
           and worst["comp"] <= 1e-3)
