@@ -372,3 +372,49 @@ class TestGridSearch:
         with pytest.raises(error, match=match):
             grid_search(tie_problem(), McConfig(samples=10, grid_points=3, seed=0))
         assert multiprocessing.active_children() == []
+
+
+class TestCountPins:
+    """Monte Carlo counts exact to the draw, as the solver digests pin the
+    solver: a change to sampling or membership that claims the same
+    estimates must leave every count here as it is."""
+
+    # one decision per problem inside its box where some draws land in the union
+    INTERIOR = {
+        "example1_toy": [0.25],
+        "example1_pair": [0.25],
+        "example1_5d": [0.25, -0.11, 0.1, -0.22, 0.35],
+        "example2_union": [0.25, -0.11, 0.1, -0.22, 0.35],
+        "example3_portfolio": [0.6, 0.05, 0.3, 0.05],
+        "example4_control": [0.25, -0.11, 0.1],
+        "example5_scaling": [0.25, -0.11, 0.1, -0.22, 0.35],
+    }
+    # draws inside out of 100,000 at the box center, the lower corner and
+    # the interior decision, seeds 0 and 1 at each
+    COUNTS = {
+        "example1_toy": (0, 0, 0, 0, 16931, 16828),
+        "example1_pair": (10693, 10673, 0, 0, 23951, 23823),
+        "example1_5d": (3809, 3730, 0, 0, 19543, 19355),
+        "example2_union": (0, 0, 0, 0, 61805, 61782),
+        "example3_portfolio": (0, 0, 0, 0, 20375, 20161),
+        "example4_control": (6081, 6193, 16267, 15965, 4686, 4737),
+        "example5_scaling": (9670, 9522, 295, 292, 9327, 9308),
+    }
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_inside_counts_pinned(self, name):
+        prob, _ = load_bundled(name)
+        lo, hi = np.array(prob.decision_box, dtype=float).T
+        counts = []
+        for x in ((lo + hi) / 2, lo, self.INTERIOR[name]):
+            for seed in (0, 1):
+                est, _ = estimate_probability(prob, x, McConfig(samples=100_000, seed=seed))
+                counts.append(round(est * 100_000))
+                assert est == counts[-1] / 100_000
+        assert tuple(counts) == self.COUNTS[name]
+
+    def test_toy_grid_pinned(self):
+        x, p = grid_search(util.toy_problem(),
+                           McConfig(samples=20_000, grid_points=41, seed=0))
+        assert list(x) == [0.4500000000000002]
+        assert p == 0.2504
