@@ -290,6 +290,16 @@ class SimpleSet:
     pinned_idx: np.ndarray
     pinned_val: np.ndarray
 
+    def __post_init__(self):
+        for name in ("lower", "upper"):
+            if np.isnan(getattr(self, name)).any():
+                raise ValueError(f"SimpleSet {name} holds NaN")
+        if not np.isfinite(self.pinned_val).all():
+            raise ValueError("SimpleSet pinned_val holds a value that is not finite")
+        if len(bad := np.flatnonzero(np.greater(self.lower, self.upper))):
+            raise ValueError(f"SimpleSet lower[{bad[0]}] = {self.lower[bad[0]]} exceeds "
+                             f"upper[{bad[0]}] = {self.upper[bad[0]]}")
+
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The clamp bounds with each pinned coordinate's interval its value."""
@@ -306,11 +316,8 @@ class SimpleSet:
 
     def diameter(self) -> float:
         """Exact Euclidean diameter (pinned coordinates contribute nothing)."""
-        widths = self.upper - self.lower
-        if len(self.pinned_idx):
-            widths = widths.copy()
-            widths[self.pinned_idx] = 0.0
-        return float(np.sqrt(np.sum(widths**2)))
+        lo, hi = self._bounds
+        return float(np.sqrt(np.sum((hi - lo)**2)))
 
 
 class _Piece(NamedTuple):

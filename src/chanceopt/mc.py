@@ -17,12 +17,13 @@ random-variable part; the distinct random-variable parts are the K
 monomials the draws are evaluated on.  For a decision ``x`` the table
 folds into a (P, K) coefficient matrix ``C`` (each term contributes
 ``coef * x**alpha`` to its row and monomial).  For a block of draws each
-monomial row of ``M`` is the product of its factors, read in place from
-the coordinate-major draws of ``sample``, and one ``C @ M`` evaluates
-all P polynomials; a draw is inside a set when all of the set's rows (a
-contiguous range) are ``>= 0``, and inside the union when it is inside
-any set.  The estimate is the count of draws inside over the number of
-draws.
+monomial row of ``M`` multiplies its factors, read in place from the
+coordinate-major draws of ``sample``, a power being its coordinate
+repeated (``q1**2 * q3`` is ``q1 * q1 * q3``), and one ``C @ M``
+evaluates all P polynomials; a draw is inside a set when all of the
+set's rows (a contiguous range) are ``>= 0``, and inside the union when
+it is inside any set.  The estimate is the count of draws inside over
+the number of draws.
 
 The estimator streams its draws from ``sample_blocks`` one block of
 ``_BLOCK`` draws at a time, so a verification holds O(m x 4,096) draws
@@ -94,7 +95,9 @@ class UnionEvaluator:
         self._slots = np.array(
             [row * len(monomials) + column[alpha[n:]] for row, alpha, _ in terms],
             dtype=np.intp)
-        self._factors = [[(j, e) for j, e in enumerate(beta) if e] for beta in monomials]
+        # coordinate indices, a power repeated: q1**2 * q3 is [1, 1, 3]
+        self._factors = [[j for j, e in enumerate(beta) for _ in range(e)]
+                         for beta in monomials]
         self._mono = np.empty((len(monomials), _BLOCK))
         self._values = np.empty((len(polys), _BLOCK))
         self._nonneg = np.empty((len(polys), _BLOCK), dtype=bool)
@@ -112,10 +115,10 @@ class UnionEvaluator:
         ``draws`` is read in blocks of columns of ``draws.T``, without a
         copy; the transposed view that :func:`~chanceopt.measures.sample`
         returns makes each coordinate's block contiguous.  A monomial row is
-        the product of its factors in coordinate order, left to right: a
-        first factor of power 1 times the second in one ``np.multiply``
-        (or copied when it is the only one), any other first factor raised
-        by ``np.power``, then each later factor multiplied in place.
+        the product of its factors in coordinate order, left to right, a
+        power being its coordinate repeated: the constant row is 1, a lone
+        factor is copied, and otherwise the first two factors take one
+        ``np.multiply`` and each later factor one in-place multiply.
         """
         coef = self.coefficients(x)
         member = np.empty(draws.shape[0], dtype=bool)
@@ -128,17 +131,12 @@ class UnionEvaluator:
             for row, factors in zip(mono, self._factors):
                 if not factors:             # the constant monomial
                     row.fill(1.0)
-                    continue
-                (j, e), rest = factors[0], factors[1:]
-                if e != 1:
-                    np.power(q[j], e, out=row)
-                elif rest:                  # the first two factors in one pass
-                    (k, f), rest = rest[0], rest[1:]
-                    np.multiply(q[j], q[k] if f == 1 else q[k] ** f, out=row)
-                else:
-                    np.copyto(row, q[j])
-                for j, e in rest:
-                    row *= q[j] if e == 1 else q[j] ** e
+                elif len(factors) == 1:
+                    np.copyto(row, q[factors[0]])
+                else:                       # the first two factors in one pass
+                    np.multiply(q[factors[0]], q[factors[1]], out=row)
+                    for j in factors[2:]:
+                        row *= q[j]
             values = np.matmul(coef, mono, out=self._values[:, :width])
             np.greater_equal(values, 0.0, out=nonneg)
             hit = member[start:start + width]

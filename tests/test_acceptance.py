@@ -196,7 +196,7 @@ def test_criterion_6_chebyshev_agreement():
 def test_criterion_7_planted_conic_programs():
     rng = np.random.default_rng(20260810)
     params = SolverParams(nu0=1.0, tol=1e-8, max_outer=22, max_inner_cap=3000)
-    worst = {"obj": 0.0, "resid": 0.0, "comp": 0.0}
+    worst = {"obj": 0.0, "resid": 0.0, "comp": 0.0, "gap": 0.0, "above": -np.inf}
     for _ in range(10):
         program, x_star, opt = util.planted_program(rng)
         trace = alcc_solve(program, params)
@@ -205,11 +205,19 @@ def test_criterion_7_planted_conic_programs():
         worst["resid"] = max(worst["resid"], trace.final_residual)
         comp = abs(float(trace.dual @ (program.apply(trace.x) - program.constants)))
         worst["comp"] = max(worst["comp"], comp / (1 + abs(opt)))
+        # complementarity holds at any scale of the dual; its weak-duality
+        # bound g(Z) <= opt checks the size too
+        bound = util.dual_bound(program, trace.dual)
+        worst["gap"] = max(worst["gap"], (opt - bound) / (1 + abs(opt)))
+        worst["above"] = max(worst["above"], bound - opt)
     ok = (worst["obj"] <= 1e-3 and worst["resid"] <= 1e-4
-          and worst["comp"] <= 1e-3)
+          and worst["comp"] <= 1e-3 and worst["above"] <= 1e-9
+          and worst["gap"] <= 1e-4)
     _gate(7, ok, f"10 planted programs: worst relative objective error "
                  f"{worst['obj']:.2e} (<=1e-3), residual {worst['resid']:.2e} "
-                 f"(<=1e-4), complementarity {worst['comp']:.2e} (<=1e-3)")
+                 f"(<=1e-4), complementarity {worst['comp']:.2e} (<=1e-3), "
+                 f"dual bound gap {worst['gap']:.2e} (<=1e-4) with g - opt at most "
+                 f"{worst['above']:.1e} (<=1e-9)")
 
 
 # -- 8: five-variable instance at order 1 ---------------------------------------

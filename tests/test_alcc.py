@@ -273,15 +273,15 @@ class TestAlccSolve:
     @pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
     def test_non_finite_iterate_raises_with_trace(self, dim):
         # a NaN objective gets through the 1x1 clip to the iterate check; a
-        # NaN upper bound makes the 2x2 eigendecomposition fail before outer 1
+        # NaN block constant makes the 2x2 eigendecomposition fail before outer 1
         if dim == 1:
             prog = scalar_block_program([[1.0]], [0.5], [float("nan")])
         else:
             prog = ConicProgram(
                 objective=np.array([0.5]),
                 blocks=[PsdBlock(dim=2, label="b", coeffs=util.to_sparse([[1.0], [0.0], [1.0]]),
-                                 constant=np.zeros((2, 2)))],
-                simple_set=SimpleSet(lower=np.array([-1.0]), upper=np.array([np.nan]),
+                                 constant=np.array([[np.nan, 0.0], [0.0, 0.0]]))],
+                simple_set=SimpleSet(lower=np.array([-1.0]), upper=np.array([1.0]),
                                      pinned_idx=np.array([], dtype=int),
                                      pinned_val=np.array([])))
         with pytest.raises(NumericalError) as exc:
@@ -324,21 +324,9 @@ class TestAlccSolve:
             for blk, sl in zip(prog.blocks, prog.block_slices):
                 low = float(np.linalg.eigvalsh(util.unsvec(z[sl], blk.dim))[0])
                 assert low >= -1e-12 * np.linalg.norm(z), f"trial {trial}: eigenvalue {low}"
-            bound = dual_bound(prog, z)
+            bound = util.dual_bound(prog, z)
             assert bound <= opt + 1e-9, f"trial {trial}: bound {bound} above {opt}"
             assert abs(bound - opt) <= 1e-4 * (1.0 + abs(opt)), f"trial {trial}: {bound}"
-
-
-def dual_bound(prog, z):
-    """g(Z) = <Z, b> + sum_i min(r_i l_i, r_i u_i) with r = c - A^T Z.
-
-    Every PSD Z gives a lower bound on min c.x over the program: the
-    Lagrangian's PSD term is nonnegative and the box term is minimised
-    coordinate by coordinate.
-    """
-    lo, hi = prog.simple_set._bounds
-    r = prog.objective - util.to_dense(prog.operator).T @ z
-    return float(z @ prog.constants + np.minimum(r * lo, r * hi).sum())
 
 
 class TestAlccSteps:

@@ -44,6 +44,27 @@ class TestSimpleSet:
                       pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
         assert s.diameter() == pytest.approx(4.0)
 
+    def test_diameter_infinite_bound(self):
+        s = SimpleSet(lower=np.array([-np.inf, 0.0]), upper=np.array([1.0, np.inf]),
+                      pinned_idx=np.array([1]), pinned_val=np.array([0.5]))
+        assert s.diameter() == np.inf
+
+    @pytest.mark.parametrize("field, message", [
+        ("lower", "lower holds NaN"),
+        ("upper", "upper holds NaN"),
+        ("pinned_val", "pinned_val holds a value that is not finite"),
+        ("unordered", r"lower\[1\] = 0.5 exceeds upper\[1\] = 0.25"),
+    ])
+    def test_bad_bounds_rejected_at_construction(self, field, message):
+        kw = dict(lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
+                  pinned_idx=np.array([0]), pinned_val=np.array([0.5]))
+        if field == "unordered":
+            kw["lower"], kw["upper"] = np.array([-1.0, 0.5]), np.array([1.0, 0.25])
+        else:
+            kw[field][0] = np.nan
+        with pytest.raises(ValueError, match=message):
+            SimpleSet(**kw)
+
 
 class TestBlocks:
     def test_value_and_coefficient_matrix(self):

@@ -47,6 +47,12 @@ def toy_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def toy_refine_report():
+    """The toy's quick refine, solved once for the tests that only read it."""
+    return run_pipeline(util.toy_problem(), quick_options(), "refine")
+
+
 class TestRunPipeline:
     def test_solve(self):
         report = run_pipeline(util.toy_problem(), quick_options(), "solve")
@@ -57,16 +63,14 @@ class TestRunPipeline:
         assert res.solver["status"] == "converged"
         assert "build" in res.wall_times and "solve" in res.wall_times
 
-    def test_refine_carries_both_estimates(self):
-        report = run_pipeline(util.toy_problem(), quick_options(), "refine")
-        res = report.results[0]
+    def test_refine_carries_both_estimates(self, toy_refine_report):
+        res = toy_refine_report.results[0]
         assert res.p_refine_indicator is not None
         assert res.p_refine_weighted is not None
         assert res.p_refine_indicator <= res.p_sdp + 1e-3
 
-    def test_refinement_statuses_reported(self):
-        report = run_pipeline(util.toy_problem(), quick_options(), "refine")
-        res = report.results[0]
+    def test_refinement_statuses_reported(self, toy_refine_report):
+        res = toy_refine_report.results[0]
         refine = res.solver["refine"]
         assert set(refine) == {"indicator", "product"}
         for summary in [res.solver, *refine.values()]:
@@ -125,9 +129,8 @@ class TestRunPipeline:
         res = report.results[0]
         assert res.p_sdp + 1e-3 >= res.p_mc - res.p_mc_halfwidth
 
-    def test_probability_estimates_in_range(self):
-        report = run_pipeline(util.toy_problem(), quick_options(), "refine")
-        res = report.results[0]
+    def test_probability_estimates_in_range(self, toy_refine_report):
+        res = toy_refine_report.results[0]
         for value in (res.p_sdp, res.p_refine_indicator, res.p_refine_weighted):
             assert 0.0 <= value <= 1.0 + 1e-2
 

@@ -535,3 +535,15 @@ def planted_program(rng, num_scalars=None, block_dims=None):
     )
     program = ConicProgram(objective=c, blocks=blocks, simple_set=simple)
     return program, x_star, float(c @ x_star)
+
+
+def dual_bound(prog, z):
+    """g(Z) = <Z, b> + sum_i min(r_i l_i, r_i u_i) with r = c - A^T Z.
+
+    Every PSD Z gives a lower bound on min c.x over the program: the
+    Lagrangian's PSD term is nonnegative and the box term is minimised
+    coordinate by coordinate.
+    """
+    lo, hi = prog.simple_set._bounds
+    r = prog.objective - to_dense(prog.operator).T @ z
+    return float(z @ prog.constants + np.minimum(r * lo, r * hi).sum())
