@@ -15,8 +15,10 @@ bound.  The PSD cone is self-dual, so one eigendecomposition per block
 serves both the primal distance and the dual projection.
 
 The gradient of the smooth part lives in one place,
-``aug_lagrangian_grad``, which the inner loop calls; the PSD projection
-is ``ConicProgram.project_dual``.  On small programs an inner iteration
+``ConicProgram.gradient``, which the inner loop calls: one pass that
+applies the operator, projects onto the PSD blocks and applies the
+adjoint.  The per-outer residual and dual update use the PSD projection
+``ConicProgram.project_dual``.  On small programs an inner iteration
 costs more in numpy call overhead than in arithmetic, so the loop
 reuses its buffers: the gradient array becomes the gradient step and
 then the projected step, and the extrapolated point is rewritten in
@@ -149,18 +151,6 @@ def operator_norm(program: ConicProgram, tol: float = 1e-4, max_iter: int = 2000
     return OperatorNorm(sigma, False, max_iter)
 
 
-def aug_lagrangian_grad(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
-                        theta_b: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth augmented Lagrangian part at ``x``.
-
-    ``c_over_nu`` is c/nu and ``theta_b`` is theta + b.  By the cone
-    identity z - proj(z) = -proj(-z), one projection of theta + b - A(x)
-    gives the gradient  c/nu - A*(proj(theta + b - A(x))).
-    """
-    s = theta_b - program.operator @ x          # equals -(A(x) - b - theta)
-    return c_over_nu - program.adjoint(program.project_dual(s))
-
-
 def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
               theta: np.ndarray, L: float, eta_over_nu: float,
               ell_max: float) -> tuple[np.ndarray, int, str]:
@@ -172,7 +162,7 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     """
     c_over_nu = program.objective / nu
     theta_b = theta + program.constants
-    project = program.simple_set.project
+    gradient, project = program.gradient, program.simple_set.project
     threshold = eta_over_nu / (2.0 * L)
 
     x_prev = start.copy()      # x_{l-1}^{(1)}
@@ -181,7 +171,7 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     ell = 0
     while True:
         ell += 1
-        step = aug_lagrangian_grad(program, x2, c_over_nu, theta_b)
+        step = gradient(x2, c_over_nu, theta_b)
         step /= L
         x1 = project(np.subtract(x2, step, out=step))
         np.subtract(x1, x2, out=step)
@@ -217,7 +207,7 @@ def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
     theta = np.zeros(len(b))
 
     # eta_0 from the initial composite gradient, dual started at zero
-    grad0 = aug_lagrangian_grad(program, x, c / params.nu0, b)
+    grad0 = program.gradient(x, c / params.nu0, b)
     eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
     if eta0 == 0.0:
         eta0 = 1.0

@@ -14,16 +14,22 @@ alone knows the layout: ``triu_info`` caches it per dimension, and
 ``PsdBlock.from_terms`` (matrix-entry terms to svec coefficients), the
 projection plan and the export all read it there.
 
-Coefficients are ``SparseMatrix`` triplets in row-major order.  The solver
-applies the operator, its adjoint and the blockwise PSD projection once
-per inner iteration, so their set-up is paid once per program: the
-stacked matrix and the projection plan are cached properties, built on
-first use.  The plan groups blocks by lane and dimension and holds the
-index maps between the stacked svec vector and the batched dense
-matrices.  Both keep work buffers that every call reuses, so the loop
-allocates little beyond its results; this is also why a program is not
-reentrant.  A 1x1 block's cone is the half-line, so its projection is a
-clip at zero with no eigendecomposition.
+Coefficients are ``SparseMatrix`` triplets in row-major order; a program
+checks at construction that every block's coefficients, constant and the
+simple set fit its scalars.  Once per inner iteration the solver calls
+``ConicProgram.gradient``, which applies the operator, projects onto the
+PSD blocks and applies the adjoint in one pass, so their set-up is paid
+once per program: the stacked matrix and the projection plan are cached
+properties, built on first use.  The plan groups blocks by lane and
+dimension and holds the index maps between the stacked svec vector and
+the batched dense matrices; the gradient reads the projected matrices
+straight into the adjoint's entries through the plan's map composed with
+the operator's rows.  ``gradient`` and ``project_dual`` share one
+projection core and differ only in how they fill the batch and read it
+back.  The operator and the plan keep work buffers that every call
+reuses, so the loop allocates little beyond its results; this is also
+why a program is not reentrant.  A 1x1 block's cone is the half-line,
+so its projection is a clip at zero with no eigendecomposition.
 
 On small blocks a projection costs more in numpy call overhead than in
 arithmetic, so the hot paths make few and cheap calls.  The projection
@@ -72,7 +78,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -190,6 +196,10 @@ class SparseMatrix:
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
                  shape: tuple[int, int]):
+        # the products gather with mode="clip", which would clamp an index outside
+        if len(rows) and (min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0]
+                          or cols.max() >= shape[1]):
+            raise ValueError(f"triplet index outside the shape {shape}")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -207,9 +217,6 @@ class SparseMatrix:
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         data = np.asarray(data, dtype=float)
-        if len(rows) and (min(rows.min(), cols.min()) < 0 or rows.max() >= shape[0]
-                          or cols.max() >= shape[1]):
-            raise ValueError(f"triplet index outside the shape {shape}")
         order = np.lexsort((cols, rows))     # stable: equal positions keep input order
         rows, cols, data = rows[order], cols[order], data[order]
         first = np.ones(len(rows), dtype=bool)
@@ -328,6 +335,8 @@ class _Piece(NamedTuple):
     vals: np.ndarray     # (n, dim): eigenvalues
     vecs: np.ndarray     # (n, dim, dim): eigenvectors
     recon: np.ndarray    # (n, dim, dim): projected matrices
+    columns: np.ndarray  # vals[:, None, :]: the factor of each eigenvector's column
+    vecs_t: np.ndarray   # vecs.transpose(0, 2, 1)
 
 
 class _Lane(NamedTuple):
@@ -356,6 +365,9 @@ class _ProjPlan(NamedTuple):
 def _project_lane(lane: _Lane) -> Optional[tuple]:
     """Eigendecompose, clip and rebuild one lane's pieces in place.
 
+    The lane's eigenvalues are one contiguous array, so one maximum clips
+    them all.
+
     Returns None, ``(0, dim)`` when LAPACK's "invalid value" warning was
     raised as an error on the piece of that dimension (a warnings filter
     of "error", or numpy's error state "raise"), or ``(1, dim)`` for
@@ -363,19 +375,19 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
     block was not finite); the lane then stops before rebuilding.
     """
     pieces, lane_vals = lane
-    for dim, mats, vals, vecs, _ in pieces:
+    for dim, mats, vals, vecs, _, _, _ in pieces:
         try:
             _eigh(mats, signature="d->dd", out=(vals, vecs))
         except (RuntimeWarning, FloatingPointError):
             return 0, dim
     if not math.isfinite(lane_vals.dot(lane_vals)):  # finite if every eigenvalue is
-        for dim, _, vals, _, _ in pieces:
+        for dim, _, vals, _, _, _, _ in pieces:
             if not np.isfinite(vals).all():
                 return 1, dim
-    for _, mats, vals, vecs, recon in pieces:
-        np.maximum(vals, 0.0, out=vals)
-        np.multiply(vecs, vals[:, None, :], out=mats)
-        np.matmul(mats, vecs.transpose(0, 2, 1), out=recon)
+    np.maximum(lane_vals, 0.0, out=lane_vals)
+    for _, mats, _, vecs, recon, columns, vecs_t in pieces:
+        np.multiply(vecs, columns, out=mats)
+        np.matmul(mats, vecs_t, out=recon)
     return None
 
 
@@ -383,9 +395,14 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
 class ConicProgram:
     """A conic program with its stacked operator and projection plan.
 
-    Not reentrant: ``apply``, ``adjoint`` and ``project_dual`` write into
-    work buffers the program keeps, so one program serves one caller at a
-    time.
+    Construction checks that every block and the simple set fit the
+    ``num_scalars`` of the objective, and raises ``DimensionError``
+    otherwise: the products and the projection gather with
+    ``mode="clip"``, which would clamp a stray index instead of failing.
+
+    Not reentrant: ``apply``, ``adjoint``, ``project_dual`` and
+    ``gradient`` write into work buffers the program keeps, so one program
+    serves one caller at a time.
     """
 
     objective: np.ndarray
@@ -394,6 +411,24 @@ class ConicProgram:
     meta: Optional[ProgramMeta] = None   # set by the relaxation builders
     _pool: Optional[ThreadPoolExecutor] = field(default=None, init=False, repr=False,
                                                 compare=False)
+
+    def __post_init__(self):
+        n = self.num_scalars
+        for i, blk in enumerate(self.blocks):
+            if blk.coeffs.shape != (blk.tri_size, n):
+                raise DimensionError(f"block {i} ({blk.label}): coeffs of shape "
+                                     f"{blk.coeffs.shape}, expected ({blk.tri_size}, {n})")
+            if np.shape(blk.constant) != (blk.dim, blk.dim):
+                raise DimensionError(f"block {i} ({blk.label}): constant of shape "
+                                     f"{np.shape(blk.constant)}, expected ({blk.dim}, {blk.dim})")
+        simple = self.simple_set
+        for name in ("lower", "upper"):
+            if np.shape(getattr(simple, name)) != (n,):
+                raise DimensionError(f"simple set {name} of shape "
+                                     f"{np.shape(getattr(simple, name))}, expected ({n},)")
+        pinned = np.asarray(simple.pinned_idx)
+        if len(bad := pinned[(pinned < 0) | (pinned >= n)]):
+            raise DimensionError(f"simple set pins index {bad[0]}, outside 0..{n - 1}")
 
     @property
     def num_scalars(self) -> int:
@@ -482,8 +517,9 @@ class ConicProgram:
             pieces, first = [], v
             for dim, n, o in lane:
                 mats, piece_vecs, out = views(dim, n, o)
-                pieces.append(_Piece(dim, mats, vals[v:v + n * dim].reshape(n, dim),
-                                     piece_vecs, out))
+                piece_vals = vals[v:v + n * dim].reshape(n, dim)
+                pieces.append(_Piece(dim, mats, piece_vals, piece_vecs, out,
+                                     piece_vals[:, None, :], piece_vecs.transpose(0, 2, 1)))
                 v += n * dim
             plan_lanes.append(_Lane(pieces, vals[first:v]))
         gather = np.concatenate(gather)
@@ -539,6 +575,55 @@ class ConicProgram:
         plan = self._plan
         if s.shape != plan.source.shape:
             raise ValueError(f"vector of shape {s.shape} for a {plan.source.shape} projection")
+        self._project_batch(s)
+        out = plan.recon.take(plan.source)
+        out *= plan.scale
+        return out
+
+    @cached_property
+    def _adjoint_readback(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reconstruction position, svec scale) of the operator's row of each entry."""
+        rows, plan = self.operator.rows, self._plan
+        return plan.source[rows], plan.scale[rows]
+
+    def gradient(self, x: np.ndarray, c_over_nu: np.ndarray,
+                 theta_b: np.ndarray) -> np.ndarray:
+        """Gradient of the smooth augmented-Lagrangian part at ``x``.
+
+        ``c_over_nu`` is c/nu and ``theta_b`` is theta + b.  By the cone
+        identity z - proj(z) = -proj(-z), one projection of theta + b - A(x)
+        gives the gradient  c/nu - A*(proj(theta + b - A(x))).
+
+        One pass over the plan: the operator is applied inline, the
+        projection is ``project_dual``'s, and its read-back and the adjoint
+        are one chain, ``recon[source[rows]] * scale[rows] * data`` summed
+        by column.  Those are the operations of ``project_dual`` then
+        ``adjoint``, in the same order, so the result is the same bits; it
+        raises what ``project_dual`` raises on a failed projection.
+        """
+        A = self.operator
+        m, n = A.shape
+        if x.shape != (n,) or c_over_nu.shape != (n,) or theta_b.shape != (m,):
+            raise ValueError(f"gradient of a {A.shape} operator at x of shape {x.shape}, "
+                             f"c/nu {c_over_nu.shape}, theta + b {theta_b.shape}")
+        source, scale = self._adjoint_readback
+        buf = x.take(A.cols, out=A._buf, mode="clip")  # "raise" copies `out`
+        buf *= A.data
+        s = np.bincount(A.rows, weights=buf, minlength=m)
+        self._project_batch(np.subtract(theta_b, s, out=s))
+        buf = self._plan.recon.take(source, out=A._buf, mode="clip")
+        buf *= scale
+        buf *= A.data
+        grad = np.bincount(A.cols, weights=buf, minlength=n)
+        return np.subtract(c_over_nu, grad, out=grad)
+
+    def _project_batch(self, s: np.ndarray) -> None:
+        """Project the blocks of ``s`` into the plan's reconstruction buffer.
+
+        One gather fills the batch; the lanes, the check for a failed
+        eigendecomposition and the 1x1 clip follow.
+        """
+        plan = self._plan
         batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
         batch /= plan.divisor
         pool = self._pool
@@ -565,9 +650,6 @@ class ConicProgram:
         if plan.halfline is not None:
             mats, recon = plan.halfline
             np.maximum(mats, 0.0, out=recon)
-        out = plan.recon.take(plan.source)
-        out *= plan.scale
-        return out
 
     def cone_distance(self, x: np.ndarray) -> float:
         """Euclidean distance of the stacked block values to the PSD cone product.

@@ -12,7 +12,6 @@ from chanceopt.alcc import (
     alcc_solve,
     alcc_steps,
     apg_inner,
-    aug_lagrangian_grad,
     operator_norm,
 )
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
@@ -136,11 +135,12 @@ def lagrangian_value(prog, x, nu, theta):
 
 
 class TestAugLagrangian:
-    """The gradient ``apg_inner`` steps along, against its value function."""
+    """``ConicProgram.gradient``, which ``apg_inner`` steps along, against
+    its value function."""
 
     @staticmethod
     def grad(prog, x, nu, theta):
-        return aug_lagrangian_grad(prog, x, prog.objective / nu, theta + prog.constants)
+        return prog.gradient(x, prog.objective / nu, theta + prog.constants)
 
     def test_deep_interior_gradient_is_scaled_objective(self):
         # identity block plus a constant matrix far inside the cone

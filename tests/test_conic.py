@@ -12,8 +12,13 @@ import pytest
 import util
 from chanceopt import conic, problems
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
-from chanceopt.errors import NumericalError
-from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, scale_problem
+from chanceopt.errors import DimensionError, NumericalError
+from chanceopt.relaxation import (
+    build_chance_sdp,
+    build_refinement_sdp,
+    min_relaxation_order,
+    scale_problem,
+)
 
 
 class TestSimpleSet:
@@ -94,6 +99,45 @@ class TestBlocks:
         lhs = float(z @ prog.apply(x))
         rhs = float(prog.adjoint(z) @ x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @staticmethod
+    def _parts(field):
+        """A 1-scalar program's parts: a dim-2 and a 1x1 block and the box,
+        with ``field`` made not to fit."""
+        coeffs, constant = util.to_sparse([[1.0], [0.0], [1.0]]), np.eye(2)
+        lower, pins = np.array([-1.0]), np.array([], dtype=int)
+        if field == "coeff_row":        # svec row 4 of a 3-row block
+            coeffs = conic.SparseMatrix.from_triplets([4], [0], [1.0], (5, 1))
+        elif field == "coeff_col":      # scalar 2 of a 1-scalar program
+            coeffs = conic.SparseMatrix.from_triplets([0], [2], [1.0], (3, 3))
+        elif field == "constant":
+            constant = np.eye(3)
+        elif field == "lower":
+            lower = np.array([-1.0, -1.0])
+        elif field in ("pin", "negative_pin"):
+            pins = np.array([1 if field == "pin" else -1])
+        blocks = [PsdBlock(dim=2, label="pair", coeffs=coeffs, constant=constant),
+                  PsdBlock(dim=1, label="half", coeffs=util.to_sparse([[1.0]]),
+                           constant=np.zeros((1, 1)))]
+        box = SimpleSet(lower=lower, upper=np.full(len(lower), 1.0), pinned_idx=pins,
+                        pinned_val=np.zeros(len(pins)))
+        return dict(objective=np.array([1.0]), blocks=blocks, simple_set=box)
+
+    @pytest.mark.parametrize("field, message", [
+        ("coeff_row", r"block 0 \(pair\): coeffs of shape \(5, 1\), expected \(3, 1\)"),
+        ("coeff_col", r"block 0 \(pair\): coeffs of shape \(3, 3\), expected \(3, 1\)"),
+        ("constant", r"block 0 \(pair\): constant of shape \(3, 3\), expected \(2, 2\)"),
+        ("lower", r"simple set lower of shape \(2,\), expected \(1,\)"),
+        ("pin", r"simple set pins index 1, outside 0\.\.0"),
+        ("negative_pin", r"simple set pins index -1, outside 0\.\.0"),
+    ])
+    def test_parts_that_do_not_fit_rejected_at_construction(self, field, message):
+        # the products gather with mode="clip": without the check, the
+        # operator of a stray row or column is built, and applying it clamps
+        with pytest.raises(DimensionError, match=message):
+            ConicProgram(**self._parts(field))
+        program = ConicProgram(**self._parts(None))
+        assert program.apply(np.array([2.0])).tolist() == [2.0, 0.0, 2.0, 2.0]
 
 
 @contextlib.contextmanager
@@ -187,6 +231,72 @@ class TestProjectDual:
             z = rng.standard_normal(prog.operator.shape[0])
             assert np.allclose(prog.adjoint(z), util.to_dense(prog.operator).T @ z,
                                rtol=1e-13, atol=1e-13)
+
+
+def _gradient_programs():
+    """Builders of every bundled problem at its least order (1 where it is
+    allowed; 2 for the toy and the control problem), and of the union at
+    order 2."""
+    out = {}
+    for name, ctor in problems.CONSTRUCTORS.items():
+        problem, _ = ctor()
+        order = min_relaxation_order(problem)
+        out[f"{name}_d{order}"] = lambda p=problem, d=order: build_chance_sdp(
+            scale_problem(p), d)
+    out["example2_union_d2"] = lambda: _union(2)
+    return out
+
+
+_GRADIENT_PROGRAMS = _gradient_programs()
+
+
+class TestGradient:
+    """``ConicProgram.gradient`` against the projection and the adjoint it
+    fuses: the same operations in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_GRADIENT_PROGRAMS))
+    def test_same_bits_as_project_dual_then_adjoint(self, monkeypatch, name, cpus):
+        util.plan_for_cpus(monkeypatch, cpus)
+        prog = _GRADIENT_PROGRAMS[name]()
+        rng = np.random.default_rng(21)
+        with prog.lanes() as lanes:
+            if name == "example2_union_d2":
+                assert lanes == cpus
+            for nu in (1.0, 3.7, 81.0):
+                x = prog.simple_set.project(rng.uniform(-1.0, 1.0, prog.num_scalars))
+                theta_b = rng.uniform(0.0, 0.5 / nu, len(prog.constants)) + prog.constants
+                c_over_nu = prog.objective / nu
+                want = c_over_nu - prog.adjoint(prog.project_dual(theta_b - prog.apply(x)))
+                assert prog.gradient(x, c_over_nu, theta_b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arg", ["x", "c_over_nu", "theta_b"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_length_raises(self, arg, change):
+        # without the check, the operator's gather would clamp its index
+        prog = _GRADIENT_PROGRAMS["example1_toy_d2"]()
+        n, m = prog.num_scalars, len(prog.constants)
+        args = dict(x=np.zeros(n), c_over_nu=prog.objective, theta_b=prog.constants)
+        args[arg] = np.zeros(len(args[arg]) + change)
+        with pytest.raises(ValueError, match=rf"gradient of a \({m}, {n}\) operator"):
+            prog.gradient(**args)
+
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
+    @pytest.mark.parametrize("where", ["x", "theta_b"])
+    def test_non_finite_input_raises_as_project_dual(self, action, where):
+        prog = _GRADIENT_PROGRAMS["example1_toy_d2"]()
+        x, theta_b = np.zeros(prog.num_scalars), prog.constants.copy()
+        if where == "x":
+            x[prog.num_scalars // 2] = np.nan
+        else:
+            theta_b[prog.block_slices[1]] = np.nan
+        s = theta_b - prog.apply(x)
+        with _failure_mode(action):
+            with pytest.raises(NumericalError, match="eigendecomposition failed") as want:
+                prog.project_dual(s)
+            with pytest.raises(NumericalError) as got:
+                prog.gradient(x, prog.objective, theta_b)
+        assert str(got.value) == str(want.value)
 
 
 _LANE_PROGRAMS = {

@@ -4,7 +4,10 @@ Each case is the sha256 of ``trace.x.tobytes()`` for one solve, with the
 (inner iterations, inner stop) pair of every outer iteration: the toy at
 order 2 (the main solve, and the indicator refinement at its decoded
 decision), the toy in the Chebyshev basis, and the union at order 1, all
-with an inner cap of 2000.  A change to the solver or its kernels that
+with an inner cap of 2000.  One more case is the sha256 of the series
+CSV of the seed-0 toy sweep at order 2 with an inner cap of 6000, the
+benchmark's toy operation: its three solves, decoded decisions and Monte
+Carlo estimate.  A change to the solver or its kernels that
 moves one bit of an iterate changes a digest, even when every reported
 value stays within tolerance.  A change that keeps the arithmetic must
 leave every digest unchanged; a deliberate change to the trajectory must
@@ -31,6 +34,7 @@ import pytest
 
 import util
 from chanceopt.alcc import SolverParams, alcc_solve
+from chanceopt.cli import main
 from chanceopt.problems import load_bundled
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, decode
 
@@ -57,6 +61,8 @@ DIGESTS = {
         "toy_d2_chebyshev":
             "375b5d49f503685b1224d3efac8c57b53ad48554b13c06667b04ffe322a8f00f",
         "union_d1": "149c678d9a1c25d4a2a1a715225cd4d3f432fb6bb54788c0cf3629c685019736",
+        "toy_d2_sweep_csv":
+            "f8632bf9ad4c2698d25687ea01cb5a7c855796618f985825dadaee32ed5fe70c",
     },
     # OPENBLAS_CORETYPE=Haswell
     "cde437eb8c7135eb10347ca3fbff3b3cf393f0b032c2c57b65c39b0b5f7fe416": {
@@ -66,6 +72,8 @@ DIGESTS = {
         "toy_d2_chebyshev":
             "0d2c2bfb6a7b51660ec382e4fc14dca52be7f569b20078f47d6c0fe802359e9f",
         "union_d1": "97af59d100da38e221e146306b58995c17623b0941eb5833352cb679358f548a",
+        "toy_d2_sweep_csv":
+            "f8632bf9ad4c2698d25687ea01cb5a7c855796618f985825dadaee32ed5fe70c",
     },
 }
 
@@ -116,3 +124,11 @@ def test_solver_trajectory_pinned(digests, traces, name):
     assert [(r.inner_iters, r.inner_stop) for r in trace.records] == INNER[name]
     assert trace.status == "converged"
     assert hashlib.sha256(trace.x.tobytes()).hexdigest() == digests[name]
+
+
+def test_toy_sweep_series_pinned(digests, tmp_path):
+    argv = ["sweep", "example1_toy", "--dmin", "2", "--dmax", "2", "--max-inner-cap", "6000",
+            "--seed", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    csv = (tmp_path / "example1_toy_series.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == digests["toy_d2_sweep_csv"]

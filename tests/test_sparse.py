@@ -111,6 +111,8 @@ def test_duplicates_sum_in_input_order():
 def test_out_of_range_triplets_and_vectors_raise():
     with pytest.raises(ValueError, match="outside the shape"):
         conic.SparseMatrix.from_triplets([2], [0], [1.0], (2, 3))
+    with pytest.raises(ValueError, match="outside the shape"):
+        conic.SparseMatrix(np.array([0]), np.array([3]), np.array([1.0]), (2, 3))
     mat = conic.SparseMatrix.from_triplets([1], [2], [1.0], (2, 3))
     with pytest.raises(ValueError, match="shape"):
         mat @ np.ones(2)
