@@ -399,6 +399,7 @@ class ConicProgram:
     ``num_scalars`` of the objective, and raises ``DimensionError``
     otherwise: the products and the projection gather with
     ``mode="clip"``, which would clamp a stray index instead of failing.
+    It also needs one block at least, whose last row ends the operator.
 
     Not reentrant: ``apply``, ``adjoint``, ``project_dual`` and
     ``gradient`` write into work buffers the program keeps, so one program
@@ -413,6 +414,8 @@ class ConicProgram:
                                                 compare=False)
 
     def __post_init__(self):
+        if not self.blocks:
+            raise DimensionError("a conic program needs at least one PSD block")
         n = self.num_scalars
         for i, blk in enumerate(self.blocks):
             if blk.coeffs.shape != (blk.tri_size, n):

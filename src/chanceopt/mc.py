@@ -245,10 +245,7 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
             raise ChanceOptError(f"grid worker for points {start}..{stop - 1} exited "
                                  f"with code {child.exitcode}")
 
-    best_est = -1.0
-    best_idx = None
-    for idx, est in zip(product(range(cfg.grid_points), repeat=problem.n),
-                        estimates.tolist()):
-        if est > best_est or (est == best_est and grevlex_key(idx) < grevlex_key(best_idx)):
-            best_est, best_idx = est, idx
-    return np.array([axes[i][best_idx[i]] for i in range(problem.n)]), best_est
+    neg_est, best_idx = min(zip((-estimates).tolist(),
+                                product(range(cfg.grid_points), repeat=problem.n)),
+                            key=lambda pair: (pair[0], grevlex_key(pair[1])))
+    return np.array([axes[i][best_idx[i]] for i in range(problem.n)]), float(-neg_est)

@@ -7,7 +7,8 @@ the product Chebyshev basis on [-1,1]^n.  Both are grevlex-indexed, so a
 basis switch changes only how matrix entries combine coordinates.
 
 A polynomial enters a matrix through its coefficients in the basis (for
-Chebyshev, from the closed form for ``x^k`` in Chebyshev coordinates), and
+Chebyshev, products over coordinates of ``numpy.polynomial``'s tables of
+``x^k``, dyadic and so exact, imported only for this basis), and
 products of basis elements expand by the basis's product rule
 (``x^a x^b = x^{a+b}``, ``T_a T_b = (T_{a+b} + T_{|a-b|}) / 2``); the
 change-of-basis matrix is never inverted.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -78,55 +80,25 @@ class MomentVector:
 @lru_cache(maxsize=None)
 def cheb_mono_coeffs(k: int) -> tuple[float, ...]:
     """Monomial coefficients (degree 0..k) of the Chebyshev polynomial T_k."""
-    if k == 0:
-        return (1.0,)
-    if k == 1:
-        return (0.0, 1.0)
-    prev2 = cheb_mono_coeffs(k - 2)
-    prev1 = cheb_mono_coeffs(k - 1)
-    out = [0.0] * (k + 1)
-    for i, c in enumerate(prev1):
-        out[i + 1] += 2.0 * c
-    for i, c in enumerate(prev2):
-        out[i] -= c
-    return tuple(out)
+    from numpy.polynomial.chebyshev import cheb2poly
+
+    return tuple(cheb2poly([0.0] * k + [1.0]).tolist())
 
 
 @lru_cache(maxsize=None)
 def mono_cheb_coeffs(k: int) -> tuple[float, ...]:
-    """Chebyshev coefficients (T_0..T_k) of the monomial x^k.
+    """Chebyshev coefficients (T_0..T_k) of the monomial x^k."""
+    from numpy.polynomial.chebyshev import poly2cheb
 
-    Closed form: x^k = 2^(1-k) * sum over j = k, k-2, ... of C(k, (k-j)/2) T_j,
-    with the j = 0 term halved.
-    """
-    out = [0.0] * (k + 1)
-    if k == 0:
-        out[0] = 1.0
-        return tuple(out)
-    scale = 2.0 ** (1 - k)
-    for j in range(k, -1, -2):
-        c = scale * math.comb(k, (k - j) // 2)
-        if j == 0:
-            c /= 2.0
-        out[j] = c
-    return tuple(out)
+    return tuple(poly2cheb([0.0] * k + [1.0]).tolist())
 
 
 @lru_cache(maxsize=None)
 def monomial_cheb_expansion(gamma: Exponent) -> tuple[tuple[Exponent, float], ...]:
     """Chebyshev coefficients of the monomial x^gamma (tensor of univariate tables)."""
-    acc: dict[Exponent, float] = {(): 1.0}
-    for g in gamma:
-        table = mono_cheb_coeffs(g)
-        nxt: dict[Exponent, float] = {}
-        for prefix, w in acc.items():
-            for j, c in enumerate(table):
-                if c == 0.0:
-                    continue
-                key = prefix + (j,)
-                nxt[key] = nxt.get(key, 0.0) + w * c
-        acc = nxt
-    return tuple(acc.items())
+    tables = [[(j, c) for j, c in enumerate(mono_cheb_coeffs(g)) if c != 0.0] for g in gamma]
+    return tuple((tuple(j for j, _ in parts), math.prod((c for _, c in parts), start=1.0))
+                 for parts in product(*tables))
 
 
 def poly_cheb_coeffs(p: Polynomial) -> dict[Exponent, float]:

@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,31 +48,15 @@ def grevlex_key(alpha: Exponent) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _degree_slice(n: int, t: int) -> tuple[Exponent, ...]:
-    """All exponents of ``n`` variables with total degree exactly ``t``, sorted."""
-    if n == 1:
-        return ((t,),)
-
-    def gen(rem_vars: int, rem_deg: int):
-        if rem_vars == 1:
-            yield (rem_deg,)
-            return
-        for head in range(rem_deg + 1):
-            for tail in gen(rem_vars - 1, rem_deg - head):
-                yield (head,) + tail
-
-    return tuple(sorted(gen(n, t), key=grevlex_key))
-
-
-@lru_cache(maxsize=None)
 def exponents(n: int, d: int) -> tuple[Exponent, ...]:
     """All exponents of total degree <= ``d`` in grevlex order."""
     if n < 1:
         raise ValueError("need at least one variable")
-    out: list[Exponent] = []
-    for t in range(d + 1):
-        out.extend(_degree_slice(n, t))
-    return tuple(out)
+    # a multiset of t variable indices is one monomial of degree t
+    return tuple(sorted((tuple(map(idx.count, range(n)))
+                         for t in range(d + 1)
+                         for idx in combinations_with_replacement(range(n), t)),
+                        key=grevlex_key))
 
 
 @lru_cache(maxsize=None)

@@ -119,6 +119,8 @@ class TestBlocks:
         blocks = [PsdBlock(dim=2, label="pair", coeffs=coeffs, constant=constant),
                   PsdBlock(dim=1, label="half", coeffs=util.to_sparse([[1.0]]),
                            constant=np.zeros((1, 1)))]
+        if field == "no_blocks":        # the operator's row count is block_slices[-1]
+            blocks = []
         box = SimpleSet(lower=lower, upper=np.full(len(lower), 1.0), pinned_idx=pins,
                         pinned_val=np.zeros(len(pins)))
         return dict(objective=np.array([1.0]), blocks=blocks, simple_set=box)
@@ -130,6 +132,7 @@ class TestBlocks:
         ("lower", r"simple set lower of shape \(2,\), expected \(1,\)"),
         ("pin", r"simple set pins index 1, outside 0\.\.0"),
         ("negative_pin", r"simple set pins index -1, outside 0\.\.0"),
+        ("no_blocks", r"a conic program needs at least one PSD block"),
     ])
     def test_parts_that_do_not_fit_rejected_at_construction(self, field, message):
         # the products gather with mode="clip": without the check, the

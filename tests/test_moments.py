@@ -19,6 +19,7 @@ from chanceopt.poly import Polynomial, basis_size, exponents
 from chanceopt.problems import load_bundled
 from chanceopt.relaxation import ChanceProblem, build_chance_sdp, scale_problem
 from util import (
+    _exact_power_in_cheb,
     basis_values,
     cheb_basis_poly,
     chebyshev_transform,
@@ -207,6 +208,24 @@ class TestChebyshev:
             expect = np.zeros(k + 1)
             expect[k] = 1.0
             assert np.allclose(acc, expect, atol=1e-12)
+
+    def test_power_table_matches_exact_closed_form(self):
+        for k in range(21):
+            want = [0.0] * (k + 1)
+            for j, c in _exact_power_in_cheb(k):
+                want[j] = float(c)          # a dyadic rational: exact as a float
+            got = mono_cheb_coeffs(k)
+            assert got == tuple(want) and all(type(c) is float for c in got), k
+
+    def test_chebyshev_table_matches_integer_recurrence(self):
+        # T_0 = 1, T_1 = x, T_k = 2x T_{k-1} - T_{k-2}, in exact integers
+        tables = [[1], [0, 1]]
+        for _ in range(2, 21):
+            prev, cur = tables[-2], tables[-1]
+            tables.append([2 * a - b for a, b in zip([0] + cur, prev + [0, 0])])
+        for k, table in enumerate(tables):
+            got = cheb_mono_coeffs(k)
+            assert got == tuple(map(float, table)) and all(type(c) is float for c in got), k
 
     def test_ortho_moment_matrix_order_zero(self):
         rng = np.random.default_rng(11)

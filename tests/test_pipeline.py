@@ -410,6 +410,35 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
+    def test_only_a_chebyshev_build_loads_numpy_polynomial(self, tmp_path):
+        # the Chebyshev tables import numpy.polynomial when first built, so
+        # import, a monomial solve, verify and grid never pay for it
+        out = ["--out-dir", str(tmp_path)]
+        runs = [["solve", "example1_toy", "--max-inner-cap", "2000", "--tol", "1e-3",
+                 "--max-outer", "12"],
+                ["verify", "example1_toy", "--at", "0.5", "--samples", "2000"],
+                ["grid", "example1_toy", "--grid", "3", "--samples", "2000"],
+                ["build", "example1_toy", "--basis", "chebyshev"]]
+        code = ("import sys\n"
+                "def report(stage):\n"
+                "    print('loaded', stage, 'numpy.polynomial' in sys.modules)\n"
+                "import numpy\n"
+                "report('numpy')\n"
+                "from chanceopt import cli\n"
+                "report('import')\n"
+                f"for argv in {[argv + out for argv in runs]!r}:\n"
+                "    if cli.main(argv):\n"
+                "        sys.exit(f'{argv[0]} failed')\n"
+                "    report(argv[0])\n")
+        proc = fresh_python("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = dict(line.split()[1:] for line in proc.stdout.splitlines()
+                      if line.startswith("loaded "))
+        if loaded["numpy"] == "True":
+            pytest.skip("this numpy imports numpy.polynomial itself")
+        assert loaded == {"numpy": "False", "import": "False", "solve": "False",
+                          "verify": "False", "grid": "False", "build": "True"}
+
     def test_solve_runs_with_scipy_blocked(self, tmp_path):
         # a None entry in sys.modules makes every scipy import raise ImportError
         argv = ["solve", "example1_toy", "--max-inner-cap", "2000", "--tol", "1e-3",

@@ -1,5 +1,8 @@
 """Monomial ordering, indexing, and polynomial arithmetic."""
 
+from functools import cmp_to_key
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,15 @@ class TestIndexing:
     def test_exponent_list_sorted(self):
         exps = exponents(3, 4)
         assert list(exps) == sorted(exps, key=grevlex_key)
+
+    def test_exponent_list_matches_brute_force(self):
+        # every entry tuple up to d, kept at total degree <= d and ordered by
+        # the literal rule rather than the package's sort key
+        for n in range(1, 5):
+            for d in range(6):
+                brute = sorted((a for a in product(range(d + 1), repeat=n) if sum(a) <= d),
+                               key=cmp_to_key(literal_grevlex_compare))
+                assert list(exponents(n, d)) == brute, (n, d)
 
     def test_rank_unrank_inverse_exhaustive(self):
         # every exponent of N^n_d ranks at its place in the grevlex list, so
