@@ -31,6 +31,13 @@ reuses, so the loop allocates little beyond its results; this is also
 why a program is not reentrant.  A 1x1 block's cone is the half-line,
 so its projection is a clip at zero with no eigendecomposition.
 
+The projection clips the eigenvalues into a second buffer, so after a
+call each block's eigenvalues and eigenvectors stay readable
+(``eigenpairs``), as does the squared norm of the result
+(``projected_norm2``).  From them ``newton_matrix`` forms the generalized
+Hessian of the augmented Lagrangian, ``sum_b A_b^T J_b A_b``, densely,
+for the Newton inner solver on small programs.
+
 On small blocks a projection costs more in numpy call overhead than in
 arithmetic, so the hot paths make few and cheap calls.  The projection
 calls LAPACK's batched eigensolver through the generalized ufunc that
@@ -145,6 +152,26 @@ def _openblas_threads() -> Optional[tuple]:
     return None
 
 
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold the OpenBLAS numpy loaded at one thread while the block runs.
+
+    Its thread count is restored on the way out, however the block ends.
+    Where no OpenBLAS thread count can be set, this does nothing.
+    """
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _partition(dims: list, cpus: int) -> list:
     """Indices into ``dims`` per lane: the most lanes, up to ``cpus``, that
     each receive at least ``_LANE_MIN_WORK``, or one lane with every block.
@@ -162,6 +189,21 @@ def _partition(dims: list, cpus: int) -> list:
         if min(loads) >= _LANE_MIN_WORK:
             return members
     return [list(range(len(dims)))]
+
+
+def psd_jacobian_weights(lam: np.ndarray) -> np.ndarray:
+    """Omega of the PSD projection's derivative at eigenvalues ``lam``.
+
+    ``Omega_ij = (lam_i+ - lam_j+) / (lam_i - lam_j)``: 1 where both are
+    positive, 0 where neither is, and ``lam_i+ / (lam_i - lam_j)`` (or its
+    mirror) between, where the denominator is at least the positive one.
+    """
+    plus = np.maximum(lam, 0.0)
+    pos = lam > 0.0
+    omega = np.logical_and.outer(pos, pos).astype(float)
+    np.divide(np.subtract.outer(plus, plus), np.subtract.outer(lam, lam), out=omega,
+              where=np.not_equal.outer(pos, pos))
+    return omega
 
 
 class Triangle(NamedTuple):
@@ -308,7 +350,7 @@ class SimpleSet:
                              f"upper[{bad[0]}] = {self.upper[bad[0]]}")
 
     @cached_property
-    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """The clamp bounds with each pinned coordinate's interval its value."""
         lo = np.array(self.lower, dtype=float)
         hi = np.array(self.upper, dtype=float)
@@ -317,13 +359,13 @@ class SimpleSet:
         return lo, hi
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self._bounds
+        lo, hi = self.bounds
         out = np.maximum(x, lo)
         return np.minimum(out, hi, out=out)
 
     def diameter(self) -> float:
         """Exact Euclidean diameter (pinned coordinates contribute nothing)."""
-        lo, hi = self._bounds
+        lo, hi = self.bounds
         return float(np.sqrt(np.sum((hi - lo)**2)))
 
 
@@ -335,13 +377,14 @@ class _Piece(NamedTuple):
     vals: np.ndarray     # (n, dim): eigenvalues
     vecs: np.ndarray     # (n, dim, dim): eigenvectors
     recon: np.ndarray    # (n, dim, dim): projected matrices
-    columns: np.ndarray  # vals[:, None, :]: the factor of each eigenvector's column
+    columns: np.ndarray  # clipped eigenvalues as (n, 1, dim): the factor of each column
     vecs_t: np.ndarray   # vecs.transpose(0, 2, 1)
 
 
 class _Lane(NamedTuple):
     pieces: list         # _Piece per dimension, in increasing dimension
     vals: np.ndarray     # the eigenvalues of every piece, one contiguous view
+    plus: np.ndarray     # the same clipped at zero, one contiguous view
 
 
 class _ProjPlan(NamedTuple):
@@ -360,13 +403,15 @@ class _ProjPlan(NamedTuple):
     recon: np.ndarray    # projected matrices
     source: np.ndarray   # (stacked,): reconstruction position of each svec entry
     scale: np.ndarray    # (stacked,): its svec scale
+    plus: np.ndarray     # every clipped eigenvalue
+    eigenpairs: tuple    # read-only (eigenvalues, eigenvectors) views per program block
 
 
 def _project_lane(lane: _Lane) -> Optional[tuple]:
-    """Eigendecompose, clip and rebuild one lane's pieces in place.
+    """Eigendecompose, clip and rebuild one lane's pieces.
 
     The lane's eigenvalues are one contiguous array, so one maximum clips
-    them all.
+    them all, into a second array that keeps the eigenvalues as they are.
 
     Returns None, ``(0, dim)`` when LAPACK's "invalid value" warning was
     raised as an error on the piece of that dimension (a warnings filter
@@ -374,7 +419,7 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
     the first piece with a non-finite eigenvalue (LAPACK failed, or a
     block was not finite); the lane then stops before rebuilding.
     """
-    pieces, lane_vals = lane
+    pieces, lane_vals, lane_plus = lane
     for dim, mats, vals, vecs, _, _, _ in pieces:
         try:
             _eigh(mats, signature="d->dd", out=(vals, vecs))
@@ -384,7 +429,7 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
         for dim, _, vals, _, _, _, _ in pieces:
             if not np.isfinite(vals).all():
                 return 1, dim
-    np.maximum(lane_vals, 0.0, out=lane_vals)
+    np.maximum(lane_vals, 0.0, out=lane_plus)
     for _, mats, _, vecs, recon, columns, vecs_t in pieces:
         np.multiply(vecs, columns, out=mats)
         np.matmul(mats, vecs_t, out=recon)
@@ -506,28 +551,42 @@ class ConicProgram:
             spans.append([lay_out(dim, group) for dim, group in sorted(by_dim.items())])
         batch, recon, vecs = np.empty(off), np.empty(off), np.empty(off)
         vals = np.empty(sum(n * dim for lane in spans for dim, n, _ in lane))
+        plus = np.empty_like(vals)
+        pairs = [None] * len(dims)
 
         def views(dim: int, n: int, o: int) -> tuple:
             return (batch[o:o + n * dim * dim].reshape(n, dim, dim),
                     vecs[o:o + n * dim * dim].reshape(n, dim, dim),
                     recon[o:o + n * dim * dim].reshape(n, dim, dim))
 
+        def read_only(arr: np.ndarray) -> np.ndarray:
+            view = arr.view()
+            view.flags.writeable = False
+            return view
+
         if halfline is not None:
             mats, _, out = views(*halfline)
             halfline = (mats, out)
+            unit = read_only(np.ones((1, 1)))
+            for i, mat in zip(ones, mats):
+                pairs[i] = (read_only(mat[0]), unit)
         plan_lanes, v = [], 0
-        for lane in spans:
+        for members, lane in zip(lanes, spans):
             pieces, first = [], v
             for dim, n, o in lane:
                 mats, piece_vecs, out = views(dim, n, o)
                 piece_vals = vals[v:v + n * dim].reshape(n, dim)
+                piece_plus = plus[v:v + n * dim].reshape(n, dim)
                 pieces.append(_Piece(dim, mats, piece_vals, piece_vecs, out,
-                                     piece_vals[:, None, :], piece_vecs.transpose(0, 2, 1)))
+                                     piece_plus[:, None, :], piece_vecs.transpose(0, 2, 1)))
+                group = [i for i in sorted(members) if dims[i] == dim]
+                for i, lam, q in zip(group, piece_vals, piece_vecs):
+                    pairs[i] = (read_only(lam), read_only(q))
                 v += n * dim
-            plan_lanes.append(_Lane(pieces, vals[first:v]))
+            plan_lanes.append(_Lane(pieces, vals[first:v], plus[first:v]))
         gather = np.concatenate(gather)
         return _ProjPlan(gather, scale[gather], halfline, plan_lanes, batch, recon,
-                         source, scale)
+                         source, scale, plus, tuple(pairs))
 
     @contextmanager
     def lanes(self) -> Iterator[int]:
@@ -546,16 +605,13 @@ class ConicProgram:
         # imported here, not at the top: it loads logging, which every run would pay for
         from concurrent.futures import ThreadPoolExecutor
 
-        get, put = _openblas_threads()
-        before = get()
-        put(1)
-        try:
-            with ThreadPoolExecutor(count - 1, thread_name_prefix="chanceopt-lane") as pool:
-                self._pool = pool
-                yield count
-        finally:
-            self._pool = None
-            put(before)
+        with one_blas_thread():
+            try:
+                with ThreadPoolExecutor(count - 1, thread_name_prefix="chanceopt-lane") as pool:
+                    self._pool = pool
+                    yield count
+            finally:
+                self._pool = None
 
     def project_dual(self, s: np.ndarray) -> np.ndarray:
         """Blockwise PSD projection of a stacked svec vector.
@@ -653,6 +709,62 @@ class ConicProgram:
         if plan.halfline is not None:
             mats, recon = plan.halfline
             np.maximum(mats, 0.0, out=recon)
+
+    def eigenpairs(self) -> tuple:
+        """(eigenvalues, eigenvectors) of each block at the last projection.
+
+        One read-only pair per block, in block order, which ``gradient`` or
+        ``project_dual`` overwrites: the ascending eigenvalues of the
+        block's dense matrix and its orthonormal eigenvectors as columns, so
+        ``(Q * lam) @ Q.T`` rebuilds the matrix that was projected.  A 1x1
+        block's pair is its value and ``[[1.0]]``.
+        """
+        return self._plan.eigenpairs
+
+    def projected_norm2(self) -> float:
+        """Squared norm of the last projection's result, from its clipped eigenvalues."""
+        plan = self._plan
+        total = plan.plus.dot(plan.plus)
+        if plan.halfline is not None:
+            clipped = plan.halfline[1].reshape(-1)
+            total += clipped.dot(clipped)
+        return float(total)
+
+    @cached_property
+    def _dense_coefficients(self) -> list:
+        """(scalars, mats) per block: the scalars it holds and their dense matrices."""
+        out = []
+        for blk in self.blocks:
+            tri, cf = triu_info(blk.dim), blk.coeffs
+            scalars, which = np.unique(cf.cols, return_inverse=True)
+            mats = np.zeros((len(scalars), blk.dim, blk.dim))
+            values = cf.data / tri.scale[cf.rows]
+            mats[which, tri.rows[cf.rows], tri.cols[cf.rows]] = values
+            mats[which, tri.cols[cf.rows], tri.rows[cf.rows]] = values
+            out.append((scalars, mats))
+        return out
+
+    def newton_matrix(self) -> np.ndarray:
+        """The generalized Hessian ``sum_b A_b^T J_b A_b`` at the last projection.
+
+        ``J_b`` is the derivative of block b's projection at its matrix
+        ``S = Q diag(lam) Q^T``: ``J[H] = Q (Omega o Q^T H Q) Q^T`` with
+        ``Omega = psd_jacobian_weights(lam)``.  Entry (k, l) is
+        ``<C_k, J[C_l]>``, the sum of ``Omega o (Q^T C_k Q) o (Q^T C_l Q)``
+        over the block's dense coefficient matrices, which the program
+        caches.  A block with no positive eigenvalue adds nothing.  Dense,
+        (num_scalars, num_scalars).
+        """
+        n = self.num_scalars
+        hess = np.zeros((n, n))
+        for (lam, q), (scalars, mats) in zip(self._plan.eigenpairs, self._dense_coefficients):
+            if lam[-1] <= 0.0:
+                continue
+            rotated = q.T @ mats @ q
+            weighted = rotated * psd_jacobian_weights(lam)
+            k = len(scalars)
+            hess[np.ix_(scalars, scalars)] += rotated.reshape(k, -1) @ weighted.reshape(k, -1).T
+        return hess
 
     def cone_distance(self, x: np.ndarray) -> float:
         """Euclidean distance of the stacked block values to the PSD cone product.

@@ -59,6 +59,8 @@ def _trace_summary(trace: SolverTrace) -> dict:
         "lanes": trace.lanes,
         "outer_iterations": trace.outer_iterations,
         "inner_iterations": trace.total_inner_iterations,
+        "inner_solver": trace.inner_solver,
+        "newton_steps": trace.newton_steps,
         "residual": trace.final_residual,
         "objective": trace.final_objective,
         "sigma_max": trace.sigma_max,

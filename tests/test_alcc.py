@@ -1,22 +1,25 @@
 """PSD projection, operator norms, the augmented Lagrangian, and the solver."""
 
 import threading
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import util
-from chanceopt import conic, problems
+from chanceopt import alcc, conic, problems
 from chanceopt.alcc import (
     SolverParams,
     alcc_solve,
     alcc_steps,
     apg_inner,
+    newton_inner,
     operator_norm,
 )
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
 from chanceopt.errors import NumericalError
-from chanceopt.relaxation import build_chance_sdp, scale_problem
+from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, decode, scale_problem
 from util import project_psd
 
 
@@ -207,6 +210,82 @@ class TestApgInner:
         assert np.allclose(x, x0)
 
 
+class TestNewtonInner:
+    """The projected semismooth Newton inner solver and the size rule."""
+
+    def test_box_bound_least_squares_in_few_projections(self):
+        # the penalty of opposed rows is |Ax - b|^2 / 2, whose minimizer lies
+        # outside the box, so the optimum holds coordinates at their bounds;
+        # only a Newton step that keeps those coordinates fixed lands on it
+        from scipy.optimize import lsq_linear
+        rng = np.random.default_rng(9)
+        a_mat = rng.standard_normal((6, 6)) + 4 * np.eye(6)
+        b_vec = 8.0 * rng.standard_normal(6)
+        prog = scalar_block_program(np.vstack([a_mat, -a_mat]), np.concatenate([b_vec, -b_vec]),
+                                    np.zeros(6))
+        expect = lsq_linear(a_mat, b_vec, bounds=(-1.0, 1.0), tol=1e-14).x
+        assert np.sum(np.abs(expect) >= 1.0 - 1e-9) >= 2
+        L = operator_norm(prog, tol=1e-8).sigma ** 2
+        counts = Counter()
+        x, iters, reason = newton_inner(prog, np.zeros(6), 1.0, np.zeros(12), L,
+                                        2e-10 * L, 500, counts)
+        assert reason in ("step_small", "floor") and iters <= 12
+        assert counts["fallback"] == 0
+        assert np.max(np.abs(x - expect)) < 1e-9
+
+    def test_planted_bounds_within_1e6(self):
+        # criterion 7's planted programs, each solved with Newton inner steps:
+        # every bound lies below its optimum, nine within 1e-6 of it.  The
+        # tenth (trial 4) is 1.0e-5 short: x has stopped moving by outer 5,
+        # which ends the solve, while Z still moves 2.4e-6 per outer
+        rng = np.random.default_rng(20260810)
+        params = SolverParams(nu0=1.0, tol=1e-8, max_outer=22, max_inner_cap=3000)
+        gaps = []
+        for trial in range(10):
+            prog, _, opt = util.planted_program(rng)
+            trace = alcc_solve(prog, params)
+            assert trace.inner_solver == "newton" and trace.newton_steps > 0
+            bound = util.dual_bound(prog, trace.dual)
+            assert bound <= opt + 1e-9, f"trial {trial}: bound {bound} above {opt}"
+            gaps.append((opt - bound) / (1.0 + abs(opt)))
+        assert sorted(gaps)[-2] <= 1e-6 and max(gaps) <= 2e-5, gaps
+
+    @pytest.mark.parametrize("name, which", [("example1_toy", "main"), ("example1_pair", "main"),
+                                             ("example1_toy", "indicator")])
+    def test_order_two_gap_within_1e6(self, name, which):
+        # the benchmark's settings: the bundled options with an inner cap of 6000
+        problem, opts = problems.CONSTRUCTORS[name]()
+        scaled, params = scale_problem(problem), replace(opts.solver, max_inner_cap=6000)
+        prog = build_chance_sdp(scaled, 2, omega_r=opts.omega_r)
+        trace = alcc_solve(prog, params)
+        if which == "indicator":
+            prog = build_refinement_sdp(scaled, decode(prog, trace.x).x_scaled, 2,
+                                        mode="indicator")
+            trace = alcc_solve(prog, params)
+        assert trace.status == "converged" and trace.inner_solver == "newton"
+        assert not any(r.cap_limited for r in trace.records)
+        assert abs(trace.final_objective - util.dual_bound(prog, trace.dual)) <= 1e-6
+
+    def test_size_rule(self):
+        small = build_chance_sdp(scale_problem(problems.CONSTRUCTORS["example2_union"]()[0]), 1)
+        assert small.num_scalars <= alcc._NEWTON_MAX_SCALARS < _union_d2().num_scalars
+        assert alcc.inner_solver(small) is newton_inner
+        assert alcc.inner_solver(_union_d2()) is apg_inner
+
+    def test_apg_is_looked_up_when_called(self, monkeypatch):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(1)
+            return apg_inner(*args)
+
+        monkeypatch.setattr(alcc, "apg_inner", wrapped)
+        monkeypatch.setattr(alcc, "_NEWTON_MAX_SCALARS", 0)
+        prog = scalar_block_program([[1.0]], [0.5], [1.0])
+        assert alcc_solve(prog, SolverParams(max_outer=2)).inner_solver == "apg"
+        assert calls
+
+
 class TestAlccSolve:
     def test_fully_pinned_program(self):
         prog = scalar_block_program(np.eye(2), [-1.0, -1.0], [1.0, 1.0],
@@ -360,6 +439,19 @@ class TestAlccSteps:
         assert states[-1].dual.tobytes() == trace.dual.tobytes()
         assert ([(s.record.inner_iters, s.record.inner_stop, s.record.residual) for s in states]
                 == [(r.inner_iters, r.inner_stop, r.residual) for r in trace.records])
+
+    def test_inner_solver_passed_by_hand(self):
+        prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.01)
+        params = SolverParams(tol=1e-12, max_outer=4, max_inner_cap=300)
+        x0 = prog.simple_set.project(np.zeros(prog.num_scalars))
+        sigma = operator_norm(prog).sigma
+        runs = [list(alcc_steps(prog, params, x0, sigma, inner))
+                for inner in (apg_inner, lambda *args: apg_inner(*args))]
+        assert [s.record for s in runs[0]] == [s.record for s in runs[1]]
+        assert runs[0][-1].x.tobytes() == runs[1][-1].x.tobytes()
+        assert runs[0][-1].dual.tobytes() == runs[1][-1].dual.tobytes()
+        assert any(s.record.cap_limited for s in runs[0])
+        assert all(s.record.newton_steps == 0 for s in runs[0])
 
     def test_serial_steps_match_a_laned_solve(self, monkeypatch):
         util.plan_for_cpus(monkeypatch, 2)

@@ -302,6 +302,78 @@ class TestGradient:
         assert str(got.value) == str(want.value)
 
 
+def _planted_sym(rng, vals):
+    """A symmetric matrix with eigenvalues ``vals`` and random eigenvectors."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    return (q * np.asarray(vals, dtype=float)) @ q.T
+
+
+class TestProjectionDerivative:
+    """The eigenpairs a projection leaves, and the derivative built from them."""
+
+    def test_weights_on_known_eigenvalues(self):
+        lam = np.array([-2.0, -0.5, 1.0, 3.0])
+        mixed = [[0.0, 0.0, 1 / 3, 3 / 5], [0.0, 0.0, 1 / 1.5, 3 / 3.5],
+                 [1 / 3, 1 / 1.5, 1.0, 1.0], [3 / 5, 3 / 3.5, 1.0, 1.0]]
+        assert np.allclose(conic.psd_jacobian_weights(lam), mixed, rtol=0, atol=1e-15)
+        # a repeated eigenvalue takes the limit of its side, 1 above zero and
+        # 0 at or below; between 0 and 2 the quotient is 2 / 2
+        assert conic.psd_jacobian_weights(np.array([0.0, 0.0, 2.0, 2.0])).tolist() == [
+            [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("dims, cpus", [((2,), 1), ((1, 3, 3, 6), 1), ((11, 1, 4), 1),
+                                            ((30, 2, 30, 1, 2), 2)])
+    def test_eigenpairs_rebuild_each_block(self, monkeypatch, dims, cpus):
+        util.plan_for_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(sum(dims))
+        prog = util.block_program.__wrapped__(*dims)
+        mats = [_planted_sym(rng, rng.standard_normal(d)) for d in dims]
+        with prog.lanes() as lanes:
+            assert lanes == cpus
+            projected = prog.project_dual(np.concatenate([svec(m) for m in mats]))
+        pairs = prog.eigenpairs()
+        assert len(pairs) == len(dims)
+        for mat, (lam, q) in zip(mats, pairs):
+            assert not lam.flags.writeable and not q.flags.writeable
+            assert np.all(np.diff(lam) >= 0)
+            assert np.allclose((q * lam) @ q.T, mat, rtol=0, atol=1e-12)
+        assert prog.projected_norm2() == pytest.approx(float(projected @ projected), rel=1e-14)
+
+    def test_jacobian_product_matches_central_differences(self):
+        # eigenvalues 0.4 apart at least and none near zero, so the
+        # projection is smooth around S and J is its derivative
+        rng = np.random.default_rng(7)
+        prog = util.block_program.__wrapped__(5)
+        s = svec(_planted_sym(rng, [-2.0, -1.1, 0.5, 1.5, 3.0]))
+        prog.project_dual(s)
+        lam, q = (arr.copy() for arr in prog.eigenpairs()[0])   # the next projections overwrite them
+        omega = conic.psd_jacobian_weights(lam)
+        eps = 1e-6
+        for _ in range(5):
+            h = _planted_sym(rng, rng.standard_normal(5))
+            product = q @ (omega * (q.T @ h @ q)) @ q.T
+            diff = (prog.project_dual(s + eps * svec(h))
+                    - prog.project_dual(s - eps * svec(h))) / (2 * eps)
+            assert np.max(np.abs(svec(product) - diff)) < 1e-8
+
+    def test_newton_matrix_matches_gradient_differences(self):
+        rng = np.random.default_rng(8)
+        prog, x_star, _ = util.planted_program(rng, num_scalars=12, block_dims=[4, 3, 2])
+        x = x_star + rng.uniform(-0.2, 0.2, 12)
+        theta_b = rng.uniform(0, 0.5, prog.operator.shape[0]) + prog.constants
+        c = prog.objective
+        prog.gradient(x, c, theta_b)
+        hess = prog.newton_matrix()    # at x: the gradient's projection left its eigenpairs
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-12)
+        eps = 1e-6
+        for _ in range(5):
+            v = rng.standard_normal(12)
+            diff = (prog.gradient(x + eps * v, c, theta_b)
+                    - prog.gradient(x - eps * v, c, theta_b)) / (2 * eps)
+            assert np.max(np.abs(hess @ v - diff)) < 1e-6 * (1.0 + np.max(np.abs(diff)))
+
+
 _LANE_PROGRAMS = {
     "union_d2": lambda: _union(2),
     # a fresh program each time: the plan is built for the CPUs of its first use

@@ -4,27 +4,30 @@ Each case is the sha256 of ``trace.x.tobytes()`` for one solve, with the
 (inner iterations, inner stop) pair of every outer iteration: the toy at
 order 2 (the main solve, and the indicator refinement at its decoded
 decision), the toy in the Chebyshev basis, and the union at order 1, all
-with an inner cap of 2000.  One more case is the sha256 of the series
-CSV of the seed-0 toy sweep at order 2 with an inner cap of 6000, the
-benchmark's toy operation: its three solves, decoded decisions and Monte
-Carlo estimate.  A change to the solver or its kernels that
-moves one bit of an iterate changes a digest, even when every reported
-value stays within tolerance.  A change that keeps the arithmetic must
+with an inner cap of 2000 and all small enough for Newton inner solves.
+One more case is the sha256 of the series CSV of the seed-0 toy sweep at
+order 2 with an inner cap of 6000, the benchmark's toy operation: its
+three solves, decoded decisions and Monte Carlo estimate.  A change to
+the solver or its kernels that moves one bit of an iterate changes a
+digest, even when every reported value stays within tolerance.  A change that keeps the arithmetic must
 leave every digest unchanged; a deliberate change to the trajectory must
 update them and say why.
 
 The digests hold for one rounding of LAPACK's symmetric eigensolver and
 BLAS's products, which vary with the library build and the CPU kernels
-it picks.  A probe hashes those calls, made straight through numpy on
-fixed inputs at the block sizes and vector lengths these solves use, and
+it picks.  A probe hashes those calls and the Cholesky solve of the
+Newton steps, made straight through numpy on fixed inputs at the block
+sizes, vector lengths and Newton system sizes these solves use, and
 selects the digest set recorded under the same rounding.  Two are
 recorded, both with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on
 x86-64: the kernel OpenBLAS picks on an AVX-512 host (SkylakeX), and the
 one ``OPENBLAS_CORETYPE=Haswell`` forces, which any AVX2 host runs, so
 the solves can be checked on such hosts by setting that variable.  The
 kernels round the last bits differently but take the same inner
-iterations.  Where the probe matches neither, the solves cannot
-reproduce the digests and the test is skipped.
+iterations; a set lists the stops where its kernel ends an outer on the
+other of two tests that both sit at rounding level.  Where the probe
+matches neither, the solves cannot reproduce the digests and the test is
+skipped.
 """
 
 import hashlib
@@ -38,48 +41,52 @@ from chanceopt.cli import main
 from chanceopt.problems import load_bundled
 from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, decode
 
-_CAPPED = [(2001, "iter_cap")]
+def _steps(*counts, last="step_small"):
+    """(inner iterations, inner stop) per outer: every stop step_small but the last."""
+    return [(n, "step_small") for n in counts[:-1]] + [(counts[-1], last)]
+
 
 # (inner iterations, inner stop) of every outer iteration, under either kernel
+# unless a digest set below lists its own
 INNER = {
-    "toy_d2": [(34, "step_small"), (161, "step_small"), (338, "step_small"),
-               (845, "step_small")] + 8 * _CAPPED,
-    "toy_d2_indicator": [(23, "step_small"), (54, "step_small"), (61, "step_small"),
-                         (541, "step_small"), (975, "step_small")] + 6 * _CAPPED,
-    "toy_d2_chebyshev": [(53, "step_small"), (863, "step_small"),
-                         (772, "step_small")] + 9 * _CAPPED,
-    "union_d1": [(89, "step_small"), (272, "step_small")] + 6 * _CAPPED,
+    "toy_d2": _steps(8, 7, 13, 7, 9, 8, 16, 32, 12, 9, 9, 6),
+    "toy_d2_indicator": _steps(4, 5, 4, 6, 7, 7, 7, 7, 7, 6, 5),
+    "toy_d2_chebyshev": _steps(25, 6, 14, 10, 10, 9, 12, 19, 13, 9, 11, 7, last="floor"),
+    "union_d1": _steps(15, 7, 65, 25, 11, 7),
 }
 
 # the sha256 of each solve's final x, keyed by the probe of the rounding
 DIGESTS = {
     # OpenBLAS's own choice on an AVX-512 host (SkylakeX)
-    "e4b31601115a0097a5f0c57569ffe74d169ad39bf6d5cdeb8f5c13023f0f0a05": {
-        "toy_d2": "ea93e9b893bb9b8ada3726b62d33076a66a209034c881de7eb61af03ac047f64",
+    "be54703c51b0e2a015d44263aaf636f147def56fd26cb230a5c128b3a80634f3": {
+        "toy_d2": "10bd5ed537c9890e4b19ff466f0d8e46249e0f8c9d3f5b0b8ea9428cf4b29af9",
         "toy_d2_indicator":
-            "216b6196c6ab235f0d28bae119b5ebd4373f353511997af94d0210c6b64a3844",
+            "c98635ce678bfb945351026bdaeb7d884d4080f35b10e446fef2ad0d6809c4d1",
         "toy_d2_chebyshev":
-            "375b5d49f503685b1224d3efac8c57b53ad48554b13c06667b04ffe322a8f00f",
-        "union_d1": "149c678d9a1c25d4a2a1a715225cd4d3f432fb6bb54788c0cf3629c685019736",
+            "7106b0a48ab154c44be9feb10cc131fcdf2428606894383425e2796a8b099a81",
+        "union_d1": "9ffc32d75330dc1400bc1bc9633a3d14696646a40d90a0f94e9eb25c78bf1945",
         "toy_d2_sweep_csv":
-            "f8632bf9ad4c2698d25687ea01cb5a7c855796618f985825dadaee32ed5fe70c",
+            "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
     },
-    # OPENBLAS_CORETYPE=Haswell
-    "cde437eb8c7135eb10347ca3fbff3b3cf393f0b032c2c57b65c39b0b5f7fe416": {
-        "toy_d2": "2baeb7d035cac719da47db6f49ae6a6509bb78dc91cf8938880c541a63c38170",
+    # OPENBLAS_CORETYPE=Haswell: the Chebyshev solve's last projected step
+    # lands under the step test here, at rounding level under SkylakeX
+    "59fd8464cb142e5755e73b27eafbfd1ec4f8821224731340438af8ce26ba712d": {
+        "toy_d2": "fd1da4c4ca6e8deb242718e884a9d76234befa70582ddc751c133c0a9fd7b740",
         "toy_d2_indicator":
-            "5a20f45aece3abc2a97195f44e8e2b4d772f09a158d466a08300dfcaa4973793",
+            "cb5925d643fb1777673d8c5e4a050508e469efd6e287d5fd5050bccbe08e2b44",
         "toy_d2_chebyshev":
-            "0d2c2bfb6a7b51660ec382e4fc14dca52be7f569b20078f47d6c0fe802359e9f",
-        "union_d1": "97af59d100da38e221e146306b58995c17623b0941eb5833352cb679358f548a",
+            "e500962c4f6ea5933669d842dbacfd4d23c6bef5e5b3584f2e0b8ed3db2fc7bf",
+        "union_d1": "8b07e782d70c1a70b738a8b02f3bfe813f278e82ec1ef4bd782f1ce11619c303",
         "toy_d2_sweep_csv":
-            "f8632bf9ad4c2698d25687ea01cb5a7c855796618f985825dadaee32ed5fe70c",
+            "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
+        "inner": {"toy_d2_chebyshev": _steps(25, 6, 14, 10, 10, 9, 12, 19, 13, 9, 11, 7)},
     },
 }
 
 
 def _rounding_probe() -> str:
-    """sha256 of eigh, batched matmul and dot on fixed inputs of the solves' sizes."""
+    """sha256 of eigh, batched matmul, dot and the Newton steps' Cholesky solve
+    on fixed inputs of the solves' sizes."""
     rng = np.random.default_rng(0)
     h = hashlib.sha256()
     for dim in (2, 3, 6, 11):
@@ -90,6 +97,12 @@ def _rounding_probe() -> str:
     for length in (5, 16, 20, 55, 153, 223):
         v = rng.standard_normal(length)
         h.update(v.dot(v).tobytes())
+    for size in (5, 19, 20, 150, 153):
+        m = rng.standard_normal((size, size))
+        chol = np.linalg.cholesky(m @ m.T + np.eye(size))
+        b = rng.standard_normal(size)
+        h.update(chol.tobytes())
+        h.update(np.linalg.solve(chol.T, np.linalg.solve(chol, b)).tobytes())
     return h.hexdigest()
 
 
@@ -121,8 +134,9 @@ def traces(digests):
 @pytest.mark.parametrize("name", sorted(INNER))
 def test_solver_trajectory_pinned(digests, traces, name):
     trace = traces[name]
-    assert [(r.inner_iters, r.inner_stop) for r in trace.records] == INNER[name]
-    assert trace.status == "converged"
+    inner = digests.get("inner", {}).get(name, INNER[name])
+    assert [(r.inner_iters, r.inner_stop) for r in trace.records] == inner
+    assert trace.status == "converged" and trace.inner_solver == "newton"
     assert hashlib.sha256(trace.x.tobytes()).hexdigest() == digests[name]
 
 

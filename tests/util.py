@@ -544,6 +544,6 @@ def dual_bound(prog, z):
     Lagrangian's PSD term is nonnegative and the box term is minimised
     coordinate by coordinate.
     """
-    lo, hi = prog.simple_set._bounds
+    lo, hi = prog.simple_set.bounds
     r = prog.objective - to_dense(prog.operator).T @ z
     return float(z @ prog.constants + np.minimum(r * lo, r * hi).sum())
