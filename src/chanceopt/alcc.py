@@ -45,16 +45,18 @@ are the same bits.
 
 ``alcc_steps`` yields each outer's ``OuterState``: record, iterate and
 ``Z = nu_k proj(theta + b - A(x))``, the PSD dual of the objective; it
-takes the inner solver as an argument.  ``alcc_solve`` picks it by size,
-stops the outers on the relative change of x once the residual is small,
-and keeps the last Z as ``SolverTrace.dual``; the rescaled theta never
-leaves this module.
+takes the inner solver as an argument, and both solvers return their
+Newton steps with the point (None from APG).  ``alcc_solve`` picks the
+solver by size and stops the outers on the relative change of x, an APG
+solve at once and a Newton solve once its residual and its certified
+gap c.x - g(Z) (``dual_bound``) are small too, as its x can stop moving
+an outer before its dual settles.  It keeps the last Z as
+``SolverTrace.dual``; the rescaled theta never leaves this module.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -114,7 +116,6 @@ class OuterRecord:
     inner_stop: str
     cap_limited: bool
     newton_steps: int = 0       # accepted Newton steps of the inner solve
-    fallback_steps: int = 0     # projected-gradient steps it took instead
 
 
 @dataclass
@@ -122,7 +123,7 @@ class SolverTrace:
     records: list
     x: np.ndarray
     dual: np.ndarray                 # the last outer's Z, the PSD dual of the objective
-    status: str                      # converged | max_outer | numerical_error
+    status: str                      # converged | stalled | max_outer | numerical_error
     sigma_max: float
     sigma_converged: bool
     lanes: int = 1                   # threads that shared the PSD projection
@@ -181,7 +182,7 @@ def operator_norm(program: ConicProgram, tol: float = 1e-4, max_iter: int = 2000
 
 def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
               theta: np.ndarray, L: float, eta_over_nu: float,
-              ell_max: float) -> tuple[np.ndarray, int, str]:
+              ell_max: float) -> tuple[np.ndarray, int, str, None]:
     """Accelerated projected-gradient loop for one outer iteration.
 
     Stops when the projected step is at most eta_over_nu / (2 L)
@@ -189,6 +190,8 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     (``iter_cap``).  The step test would bound a subgradient's norm by
     eta/nu if L were at least |A|^2; the power iteration's sigma^2 comes
     from below and can fall short of it, so it does not certify that.
+    Returns (point, inner iterations, stop, None): a first-order loop
+    takes no Newton steps.
     """
     c_over_nu = program.objective / nu
     theta_b = theta + program.constants
@@ -206,9 +209,9 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
         x1 = project(np.subtract(x2, step, out=step))
         np.subtract(x1, x2, out=step)
         if math.sqrt(step.dot(step)) <= threshold:    # the 2-norm, as np.linalg.norm
-            return x1, ell, "step_small"
+            return x1, ell, "step_small", None
         if ell > ell_max:
-            return x1, ell, "iter_cap"
+            return x1, ell, "iter_cap", None
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         np.subtract(x1, x_prev, out=x2)
         x2 *= (t - 1.0) / t_next
@@ -234,7 +237,7 @@ _KAPPA0, _KAPPA_FACTOR, _KAPPA_MIN = 1.0, 4.0, 1e-6
 
 def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
                  theta: np.ndarray, L: float, eta_over_nu: float,
-                 ell_max: float, counts: Optional[Counter] = None) -> tuple[np.ndarray, int, str]:
+                 ell_max: float) -> tuple[np.ndarray, int, str, int]:
     """Projected semismooth Newton loop for one outer iteration.
 
     Minimizes ``phi(x) = c.x / nu + |proj(theta + b - A x)|^2 / 2`` over
@@ -247,8 +250,7 @@ def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
     ``ConicProgram.newton_matrix`` at x.  The trial point ``proj(x + d)`` is
     accepted on the projected Armijo test or when its projected step is
     10% shorter; otherwise the loop takes one projected-gradient step of
-    length 1/L from x.  ``counts``, when given, adds up the Newton and the
-    fallback steps.
+    length 1/L from x.
 
     The stops are ``apg_inner``'s: the projected step ``proj(x - g/L) - x``
     at most eta_over_nu / (2 L) (``step_small``) or the budget spent
@@ -257,8 +259,9 @@ def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
     Once the step test holds the loop tries one more Newton step, which
     costs one projection and near a solution gains digits (Newton
     converges fast there, the test is loose when nu is small): the loop
-    returns after it if it is accepted, else at once.  Returns the
-    projected-gradient point ``proj(x - g/L)``, as ``apg_inner`` does.
+    returns after it if it is accepted, else at once.  Returns, as
+    ``apg_inner`` does, the projected-gradient point ``proj(x - g/L)``, the
+    inner iterations and the stop, and then the accepted Newton steps.
     """
     c_over_nu = program.objective / nu
     theta_b = theta + program.constants
@@ -267,17 +270,13 @@ def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
     # the bits depend on the CPUs: toy order 4 (54 scalars) took 0.71 s with
     # two threads and 0.11 s with one
     with one_blas_thread():
-        x1, ell, reason, steps = _newton_loop(program, start, c_over_nu, theta_b, L,
-                                              threshold, ell_max)
-    if counts is not None:
-        counts.update(steps)
-    return x1, ell, reason
+        return _newton_loop(program, start, c_over_nu, theta_b, L, threshold, ell_max)
 
 
 def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
                  theta_b: np.ndarray, L: float, threshold: float,
-                 ell_max: float) -> tuple[np.ndarray, int, str, Counter]:
-    """``newton_inner``'s loop: (point, inner iterations, stop, step counts)."""
+                 ell_max: float) -> tuple[np.ndarray, int, str, int]:
+    """``newton_inner``'s loop, with its return value."""
     gradient, project = program.gradient, program.simple_set.project
     lo, hi = program.simple_set.bounds
     pinned = lo == hi
@@ -292,7 +291,7 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
         return g, phi, x1, math.sqrt(step.dot(step))
 
     g, phi, x1, r = evaluate(x)
-    ell, steps, kappa = 1, Counter(), _KAPPA0
+    ell, steps, kappa = 1, 0, _KAPPA0
     polished = False       # x was reached by a Newton step taken once the test held
     while True:
         met = r <= threshold
@@ -321,7 +320,7 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
             ell += 1
             if phit <= phi + _ARMIJO * float(g @ (trial - x)) or rt <= 0.9 * r:
                 x, g, phi, x1, r = trial, gt, phit, xt1, rt
-                steps["newton"] += 1
+                steps += 1
                 kappa = max(kappa / _KAPPA_FACTOR, _KAPPA_MIN)
                 polished = met
                 continue
@@ -332,7 +331,6 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
         x = x1
         g, phi, x1, r = evaluate(x)
         ell += 1
-        steps["fallback"] += 1
     return x1, ell, reason, steps
 
 
@@ -340,6 +338,18 @@ def inner_solver(program: ConicProgram) -> Callable:
     """``newton_inner`` for programs of at most ``_NEWTON_MAX_SCALARS`` scalars,
     else ``apg_inner``, looked up when called."""
     return newton_inner if program.num_scalars <= _NEWTON_MAX_SCALARS else apg_inner
+
+
+def dual_bound(program: ConicProgram, z: np.ndarray) -> float:
+    """g(Z) = <Z, b> + sum_i min(r_i l_i, r_i u_i) with r = c - A^T Z.
+
+    A lower bound on min c.x over the program for every PSD Z: the
+    Lagrangian's PSD term is nonnegative and its box term is minimized
+    coordinate by coordinate.
+    """
+    lo, hi = program.simple_set.bounds
+    r = program.objective - program.adjoint(z)
+    return float(z @ program.constants + np.minimum(r * lo, r * hi).sum())
 
 
 class OuterState(NamedTuple):
@@ -355,12 +365,13 @@ def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
     ``x`` is the start point, a point of the simple set, and ``sigma`` the
     operator norm.  ``inner`` solves each outer's inner problem, with
     ``apg_inner``'s signature and return value; by default it is
-    ``inner_solver(program)``.  Projections run in lanes only inside
-    ``program.lanes()``, with the same bits.  Raises ``NumericalError`` on a
-    non-finite iterate.
+    ``inner_solver(program)``.  The fourth value it returns is its Newton
+    steps, or None from a first-order solver: only a first-order outer
+    reports ``cap_limited``, as only its budget is the first-order bound
+    l_max.  Projections run in lanes only inside ``program.lanes()``, with
+    the same bits.  Raises ``NumericalError`` on a non-finite iterate.
     """
     inner = inner_solver(program) if inner is None else inner
-    newton = inner is newton_inner
     L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
     B = program.simple_set.diameter()
     c, b = program.objective, program.constants
@@ -382,15 +393,14 @@ def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
         ell_max = min(ell_exact, float(params.max_inner_cap))
 
         args = (program, x, nu_k, theta, L, eta_k / nu_k, ell_max)
-        steps = Counter()
-        x, inner_iters, reason = newton_inner(*args, steps) if newton else inner(*args)
+        x, inner_iters, reason, newton_steps = inner(*args)
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite iterate at outer iteration {k}")
         record = OuterRecord(
             k=k, nu=nu_k, inner_iters=inner_iters, residual=program.cone_distance(x),
             objective=float(c @ x), inner_stop=reason,
-            cap_limited=not newton and ell_exact > params.max_inner_cap,
-            newton_steps=steps["newton"], fallback_steps=steps["fallback"],
+            cap_limited=newton_steps is None and ell_exact > params.max_inner_cap,
+            newton_steps=newton_steps or 0,
         )
 
         # theta is kept as proj(.) scaled by nu_k / nu_{k+1} for the next outer
@@ -404,24 +414,29 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
     """Run the full outer/inner scheme on a conic program.
 
     ``x0`` is the starting point (projected onto the simple set); by
-    default the projection of the origin.  Status is ``converged`` when
-    the relative change of x is at most ``tol`` with a small feasibility
-    residual, and ``max_outer`` when the iteration budget is exhausted
-    first.  A small change while still noticeably infeasible does not stop
-    the solve: an exact inner solve can sit at a vertex of the box for a
-    few outers while theta grows, and the next penalty moves it.  The PSD
-    projections run in the program's ``lanes`` for the whole solve.  A
-    ``NumericalError`` carries the trace so far as ``.trace``.
+    default the projection of the origin.  The outers stop when the
+    relative change of x is at most ``tol``.  An APG solve then ends
+    ``converged`` with a small feasibility residual and ``stalled`` while
+    still noticeably infeasible.  A Newton solve stops there only with a
+    small residual and a certified gap |c.x - g(Z)| of at most
+    ``tol (1 + |c.x|)``, and then ends ``converged``: its x can sit at a
+    vertex of the box for a few outers while theta grows and the next
+    penalty moves it, and it can stop moving one outer before the dual
+    settles.  Status is ``max_outer`` when the budget of outers runs out
+    first.  The PSD projections run in the program's ``lanes`` for the
+    whole solve.  A ``NumericalError`` carries the trace so far as
+    ``.trace``.
     """
     x0 = np.zeros(program.num_scalars) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (program.num_scalars,):
         raise DimensionError(f"x0 has shape {x0.shape}, expected ({program.num_scalars},)")
     inner = inner_solver(program)
+    newton = inner is newton_inner
     with program.lanes() as lanes:
         norm_info = operator_norm(program, seed=params.seed)
         trace = SolverTrace([], program.simple_set.project(x0), np.zeros(len(program.constants)),
                             "max_outer", norm_info.sigma, norm_info.converged, lanes,
-                            "newton" if inner is newton_inner else "apg")
+                            "newton" if newton else "apg")
         resid_scale = 1.0 + float(np.linalg.norm(program.constants))
         try:
             for state in alcc_steps(program, params, trace.x, norm_info.sigma, inner):
@@ -429,7 +444,15 @@ def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),
                 x = trace.x
                 rel_change = float(np.linalg.norm(state.x - x)) / (1.0 + float(np.linalg.norm(x)))
                 trace.x, trace.dual = state.x, state.dual
-                if rel_change <= params.tol and state.record.residual <= 1e-3 * resid_scale:
+                if rel_change > params.tol:
+                    continue
+                small = state.record.residual <= 1e-3 * resid_scale
+                if not newton:
+                    trace.status = "converged" if small else "stalled"
+                    break
+                objective = state.record.objective
+                gap = abs(objective - dual_bound(program, state.dual))
+                if small and gap <= params.tol * (1.0 + abs(objective)):
                     trace.status = "converged"
                     break
         except NumericalError as err:

@@ -232,7 +232,8 @@ def main(argv=None) -> int:
             print("  ".join(bits))
         print(f"report: {json_path}")
 
-        solver_trouble = any("solver_max_outer" in r.flags for r in report.results)
+        solver_trouble = any("solver_max_outer" in r.flags or "solver_stalled" in r.flags
+                             for r in report.results)
         return EXIT_SOLVER if solver_trouble else EXIT_OK
 
     except ProblemFormatError as exc:

@@ -15,8 +15,11 @@ order d, the main builder emits a conic program over
 The decision moment matrix M_d(y_x) needs no block: the dominance rows
 with q-exponent 0 have lift factor 1 (the law's mass; T_0 = 1), so they
 hold M_d(y_x) minus a principal submatrix of every set's moment block,
-and M_d(y_x) is PSD.  Its trace is added to the objective with a small
-weight to steer the decision measure toward a point mass.
+and M_d(y_x) is PSD.  Its trace in the monomial basis, the expectation of
+sum_{|alpha| <= d} x^(2 alpha), is added to the objective with a small
+weight to steer the decision measure toward a point mass.  A Chebyshev
+program takes the same expectation from its Chebyshev moments, so the two
+bases give one relaxation and the basis changes only its conditioning.
 
 The refinement builder fixes the decoded decision and re-estimates the
 probability by a volume-style program over random-parameter measures
@@ -63,6 +66,7 @@ from .poly import (
     affine_substitutions,
     basis_size,
     encode_exponents,
+    exponents,
     lookup_ranks,
 )
 
@@ -310,10 +314,8 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
 
     objective = np.zeros(num_scalars)
     for sl, w in zip(set_slices, weights):
-        coeffs = basis_coeffs(w, basis)
-        gammas = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), num_vars)
-        ranks = lookup_ranks(encode_exponents(gammas, 2 * order + 1), num_vars, 2 * order)
-        objective[sl.start + ranks] -= np.fromiter(coeffs.values(), float, len(coeffs))
+        ranks, values = _expectation(w, order, basis)
+        objective[sl.start + ranks] -= values
 
     pinned = [] if yx_slice is None else [yx_slice.start]
     simple = SimpleSet(
@@ -327,6 +329,14 @@ def _assemble(kind: str, scaled: ScaledProblem, sets: list, order: int, basis: s
     return ConicProgram(objective=objective, blocks=blocks, simple_set=simple, meta=meta)
 
 
+def _expectation(p: Polynomial, order: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, weights) that take E[p] from a degree-2*order moment vector in ``basis``."""
+    coeffs = basis_coeffs(p, basis)
+    gammas = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), p.num_vars)
+    ranks = lookup_ranks(encode_exponents(gammas, 2 * order + 1), p.num_vars, 2 * order)
+    return ranks, np.fromiter(coeffs.values(), float, len(coeffs))
+
+
 def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
                      basis: str = MONOMIAL) -> ConicProgram:
     """Emit the order-d conic relaxation of a chance problem.
@@ -334,7 +344,8 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
     Scalar variables are the per-set joint moment vectors followed by the
     decision moment vector, all truncated at total degree 2*order.  The
     objective (minimization sense) is omega_r times the trace of M_d(y_x)
-    minus the total set mass; M_d(y_x) has no block of its own, since the
+    in monomials, E[sum_{|alpha| <= d} x^(2 alpha)] in either basis, minus
+    the total set mass; M_d(y_x) has no block of its own, since the
     dominance and set blocks imply it is PSD.
     """
     _check_basis(basis)
@@ -350,12 +361,9 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
     x_rank, q_fac = lift_factors(n, prob.dist, 2 * order, basis)
     program = _assemble("chance", scaled, sets, order, basis, yx_slice=yx_slice,
                         lift=(yx_off + x_rank, q_fac))
-    # the trace of M_d(y_x): the diagonal terms of its moment terms, summed per moment
-    xr, xc, xranks, xcoefs = moment_block_terms(n, order, basis)
-    diag = xr == xc
-    trace = np.zeros(basis_size(n, 2 * order))
-    np.add.at(trace, xranks[diag], xcoefs[diag])
-    program.objective[yx_slice] += omega_r * trace
+    trace = Polynomial(n, {tuple(2 * e for e in alpha): 1.0 for alpha in exponents(n, order)})
+    ranks, values = _expectation(trace, order, basis)
+    program.objective[yx_off + ranks] += omega_r * values
     return program
 
 

@@ -42,9 +42,9 @@ DIGESTS = {
     ("example1_5d", 2, "monomial"):
         "215ef1114adf22f6151345f199a65edb1fe2e8336e355a949ad57803d6dee154",
     ("example1_toy", 2, "chebyshev"):
-        "74de39d1f729aecb33213f58f00bab6fdd8d05483bb4784b1b48c7370af06283",
+        "9cb2cd06786f33fbbc6b6516a5a0a186a37d0daad0ae0f2554bfd2dd95e9aef9",
     ("example1_pair", 2, "chebyshev"):
-        "4d6b7121b42dce64c6169ab8e37cda6dccf24ce93ffd843b2f27a6f86f673602",
+        "db0e58b2c54f25b1a83c4fe01882af165567ca7cff2428dd4fd786008e4b4b30",
     ("example1_5d", 1, "chebyshev"):
         "1b60ac4a8df9eeb4c6eb25d7342ef42a0913baad92b0c4e176a114290f9f6c01",
     ("example2_union", 1, "chebyshev"):
@@ -52,22 +52,22 @@ DIGESTS = {
     ("example3_portfolio", 1, "chebyshev"):
         "78b0a472d52165f58b91cff3df8c02ec73dea107a3dc4ea398c140ef633b4d7a",
     ("example4_control", 2, "chebyshev"):
-        "3e86113d877af9ae7019de932cca41d0bf46708acf4b5009a3900c990368ed98",
+        "072fb386e24f629c4be63d4b9f3bbba28db41a7d563d7a55f62e6a5834d77bdc",
     ("example5_scaling", 1, "chebyshev"):
         "4f28ef4f363d7af12ab0515bc48233572691c8176a80214d9075af6d3701fbee",
     ("example2_union", 2, "chebyshev"):
-        "4ff52c3614c7ac3c609036b0021ec23a82d2aa702eecb69fc5c23418327289ca",
+        "c205ba31d939888fc38a84343c4121fe89c5677b6d97565078e20c39efa9d366",
     ("example1_5d", 2, "chebyshev"):
-        "6389ca7df2760e8648c1b803159b5cb57844abb606bcf1069ff4e0cd3ffd8dcf",
+        "54393bcf9bc26dc5fcd112909f7c0d1b07de6bee2eef6b246178eecff2d1eca3",
     ("example2_union", 3, "chebyshev"):
-        "d4b143b2bfa8472e5e7daedd212acaf936c369854d2c51a8c82403f5fa17db4b",
+        "82db2d97bc2191fabc4109aa22584874617ef47b0e9426b9c33cfc4adfa63775",
 }
 
 FULL_DIGESTS = {
     ("example1_toy", 2, "monomial"):
         "19b8ba37b32e8e218bcfdc4f9a45c027a7d272d353e3d81d31cbf2aa3f2ec2a1",
     ("example1_toy", 2, "chebyshev"):
-        "7365f268fac9304ea664a850e385da680a682099a6f2103b0e90f61340b37f31",
+        "c1add88bd32859d6973bc862ec40fd007ba1ba5f331addcff7937dace14d13d7",
     ("example1_pair", 2, "monomial"):
         "fd510484d80db66d749a51c67aa8597de73cf135a2567689f9b5f969bd9ab214",
     ("example2_union", 1, "monomial"):

@@ -324,7 +324,9 @@ class TestChebyshev:
                 assert ulps_off(got[monomial_rank(beta)], value) <= 1.0, (i, j, beta)
 
     def test_trace_functional_matches_matrix_trace(self):
-        # the chance program's trace term on the decision moments
+        # the chance program's trace term on the decision moments: the trace
+        # of the monomial moment matrix in either basis, the Chebyshev
+        # moments c = T m taken back to monomial moments m first
         rng = np.random.default_rng(16)
         x0, x1, q = (Polynomial.coordinate(3, i) for i in range(3))
         prob = ChanceProblem(
@@ -337,5 +339,7 @@ class TestChebyshev:
             prog = build_chance_sdp(prob, 2, omega_r=omega_r, basis=basis)
             y = random_vec(rng, 2, 4)
             val = prog.objective[prog.meta.yx_slice] @ y.values
-            M = moment_matrix(y, 2, basis)
+            m = y.values if basis == "monomial" else np.linalg.solve(chebyshev_transform(2, 4),
+                                                                     y.values)
+            M = moment_matrix(MomentVector(2, 4, m), 2, "monomial")
             assert val == pytest.approx(omega_r * np.trace(M), abs=1e-12)

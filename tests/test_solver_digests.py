@@ -24,10 +24,8 @@ x86-64: the kernel OpenBLAS picks on an AVX-512 host (SkylakeX), and the
 one ``OPENBLAS_CORETYPE=Haswell`` forces, which any AVX2 host runs, so
 the solves can be checked on such hosts by setting that variable.  The
 kernels round the last bits differently but take the same inner
-iterations; a set lists the stops where its kernel ends an outer on the
-other of two tests that both sit at rounding level.  Where the probe
-matches neither, the solves cannot reproduce the digests and the test is
-skipped.
+iterations.  Where the probe matches neither, the solves cannot
+reproduce the digests and the test is skipped.
 """
 
 import hashlib
@@ -47,11 +45,10 @@ def _steps(*counts, last="step_small"):
 
 
 # (inner iterations, inner stop) of every outer iteration, under either kernel
-# unless a digest set below lists its own
 INNER = {
     "toy_d2": _steps(8, 7, 13, 7, 9, 8, 16, 32, 12, 9, 9, 6),
     "toy_d2_indicator": _steps(4, 5, 4, 6, 7, 7, 7, 7, 7, 6, 5),
-    "toy_d2_chebyshev": _steps(25, 6, 14, 10, 10, 9, 12, 19, 13, 9, 11, 7, last="floor"),
+    "toy_d2_chebyshev": _steps(19, 24, 7, 10, 13, 9, 14, 29, 17, 9, 12, 6, last="floor"),
     "union_d1": _steps(15, 7, 65, 25, 11, 7),
 }
 
@@ -63,23 +60,21 @@ DIGESTS = {
         "toy_d2_indicator":
             "c98635ce678bfb945351026bdaeb7d884d4080f35b10e446fef2ad0d6809c4d1",
         "toy_d2_chebyshev":
-            "7106b0a48ab154c44be9feb10cc131fcdf2428606894383425e2796a8b099a81",
+            "aa976704b1a3dd8e7f5bfb522c223f51d67679834f25c70d95630bef52abb45c",
         "union_d1": "9ffc32d75330dc1400bc1bc9633a3d14696646a40d90a0f94e9eb25c78bf1945",
         "toy_d2_sweep_csv":
             "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
     },
-    # OPENBLAS_CORETYPE=Haswell: the Chebyshev solve's last projected step
-    # lands under the step test here, at rounding level under SkylakeX
+    # OPENBLAS_CORETYPE=Haswell
     "59fd8464cb142e5755e73b27eafbfd1ec4f8821224731340438af8ce26ba712d": {
         "toy_d2": "fd1da4c4ca6e8deb242718e884a9d76234befa70582ddc751c133c0a9fd7b740",
         "toy_d2_indicator":
             "cb5925d643fb1777673d8c5e4a050508e469efd6e287d5fd5050bccbe08e2b44",
         "toy_d2_chebyshev":
-            "e500962c4f6ea5933669d842dbacfd4d23c6bef5e5b3584f2e0b8ed3db2fc7bf",
+            "8c6cb8d335dd52c4443ce4dcfc635b32901850dc1b7b88cabdb6fe0b74cd4a51",
         "union_d1": "8b07e782d70c1a70b738a8b02f3bfe813f278e82ec1ef4bd782f1ce11619c303",
         "toy_d2_sweep_csv":
             "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
-        "inner": {"toy_d2_chebyshev": _steps(25, 6, 14, 10, 10, 9, 12, 19, 13, 9, 11, 7)},
     },
 }
 
@@ -134,8 +129,7 @@ def traces(digests):
 @pytest.mark.parametrize("name", sorted(INNER))
 def test_solver_trajectory_pinned(digests, traces, name):
     trace = traces[name]
-    inner = digests.get("inner", {}).get(name, INNER[name])
-    assert [(r.inner_iters, r.inner_stop) for r in trace.records] == inner
+    assert [(r.inner_iters, r.inner_stop) for r in trace.records] == INNER[name]
     assert trace.status == "converged" and trace.inner_solver == "newton"
     assert hashlib.sha256(trace.x.tobytes()).hexdigest() == digests[name]
 
