@@ -13,7 +13,8 @@ inner solvers, which share the stop test and the budget:
   scalars: projected semismooth Newton steps on the generalized Hessian
   ``sum_b A_b^T J_b A_b`` of the PSD projection's derivative, formed
   densely (``ConicProgram.newton_matrix``) and solved by Cholesky, with a
-  projected-gradient step where a Newton step is rejected.
+  projected-gradient step where a Newton step is rejected or the
+  factorization fails.
 - ``apg_inner``, for every larger program: an accelerated projected
   gradient loop with momentum t_{l+1} = (1 + sqrt(1+4 t_l^2))/2 and step
   1/L, L = sigma^2 from the power iteration (the objective is linear).
@@ -39,7 +40,11 @@ per-outer residual and dual update use the PSD projection
 ``ConicProgram.project_dual``.  On small programs an APG iteration costs
 more in numpy call overhead than in arithmetic, so that loop reuses its
 buffers: the gradient array becomes the gradient step and then the
-projected step, and the extrapolated point is rewritten in place.  Each
+projected step, and the extrapolated point is rewritten in place.  For
+the same reason the Newton step factors and solves its system through
+LAPACK's gufuncs, the private numpy names that ``np.linalg.cholesky`` and
+``np.linalg.solve`` wrap, as the projection calls ``eigh``'s, and copies
+the free part of the system only when some coordinate is held.  Each
 operation and its order are those of the plain formulas, so the iterates
 are the same bits.
 
@@ -61,6 +66,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .conic import ConicProgram, one_blas_thread
 from .errors import DimensionError, NumericalError
@@ -233,6 +239,10 @@ _FLOOR_ULPS = 64.0
 # 4x after a rejected one, so steps where the Hessian is nearly singular
 # (along the linear objective, where no block is active) stay short
 _KAPPA0, _KAPPA_FACTOR, _KAPPA_MIN = 1.0, 4.0, 1e-6
+# the LAPACK calls behind np.linalg.cholesky and np.linalg.solve (one
+# right-hand side), which on a 20-scalar system cost half of the wrappers
+_cholesky = _umath_linalg.cholesky_lo
+_solve = _umath_linalg.solve1
 
 
 def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
@@ -247,10 +257,12 @@ def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
     a bound with the gradient pointing out of the box, stay put (Bertsekas'
     projected Newton); on the free ones the step solves
     ``(H + kappa |g| I) d = -g`` by Cholesky, with H the generalized Hessian
-    ``ConicProgram.newton_matrix`` at x.  The trial point ``proj(x + d)`` is
-    accepted on the projected Armijo test or when its projected step is
-    10% shorter; otherwise the loop takes one projected-gradient step of
-    length 1/L from x.
+    ``ConicProgram.newton_matrix`` at x, through LAPACK's gufuncs as the
+    projection is.  The trial point ``proj(x + d)`` is accepted on the
+    projected Armijo test or when its projected step is 10% shorter;
+    otherwise, or when the factorization fails (its factor is NaN), the
+    loop takes one projected-gradient step of length 1/L from x.  With no
+    coordinate free the step is empty, and accepted.
 
     The stops are ``apg_inner``'s: the projected step ``proj(x - g/L) - x``
     at most eta_over_nu / (2 L) (``step_small``) or the budget spent
@@ -305,16 +317,19 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
             reason = "iter_cap"
             break
         free = ~(pinned | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        hess = program.newton_matrix()[np.ix_(free, free)]
-        gf = g[free]
+        hess, gf = program.newton_matrix(), g
+        if not free.all():      # else the system is the whole, fresh matrix
+            free = np.flatnonzero(free)
+            hess, gf = hess[free[:, None], free], g[free]
         hess.flat[::len(gf) + 1] += kappa * math.sqrt(gf.dot(gf))
-        try:
-            chol = np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            chol = None
-        if chol is not None:
-            d = np.zeros_like(x)
-            d[free] = -np.linalg.solve(chol.T, np.linalg.solve(chol, gf))
+        # LAPACK fills a failed factor with NaN and raises the invalid flag
+        with np.errstate(invalid="ignore"):
+            chol = _cholesky(hess, signature="d->d")
+        if np.isfinite(chol).all():
+            d = -_solve(chol.T, _solve(chol, gf, signature="dd->d"), signature="dd->d")
+            if gf is not g:     # d holds the free coordinates only
+                d_free, d = d, np.zeros_like(x)
+                d[free] = d_free
             trial = project(x + d)
             gt, phit, xt1, rt = evaluate(trial)
             ell += 1

@@ -192,17 +192,24 @@ def _partition(dims: list, cpus: int) -> list:
 
 
 def psd_jacobian_weights(lam: np.ndarray) -> np.ndarray:
-    """Omega of the PSD projection's derivative at eigenvalues ``lam``.
+    """Omega of the PSD projection's derivative at ascending eigenvalues ``lam``.
 
     ``Omega_ij = (lam_i+ - lam_j+) / (lam_i - lam_j)``: 1 where both are
     positive, 0 where neither is, and ``lam_i+ / (lam_i - lam_j)`` (or its
     mirror) between, where the denominator is at least the positive one.
+    The positive eigenvalues are the last ones, so the mixed entries are
+    one rectangle and its transpose.  For ``lam_i <= 0 < lam_j`` entry
+    (i, j) is ``-lam_j / (lam_i - lam_j)``, bit for bit the formula's
+    ``(0 - lam_j+) / (lam_i - lam_j)``; entry (j, i) is the formula's
+    quotient with both sides negated, which rounds the same.
     """
-    plus = np.maximum(lam, 0.0)
-    pos = lam > 0.0
-    omega = np.logical_and.outer(pos, pos).astype(float)
-    np.divide(np.subtract.outer(plus, plus), np.subtract.outer(lam, lam), out=omega,
-              where=np.not_equal.outer(pos, pos))
+    split = int(lam.searchsorted(0.0, side="right"))  # lam[split:] > 0
+    omega = np.zeros((len(lam), len(lam)))
+    omega[split:, split:] = 1.0
+    if split:
+        mixed = -lam[split:] / np.subtract.outer(lam[:split], lam[split:])
+        omega[:split, split:] = mixed
+        omega[split:, :split] = mixed.T
     return omega
 
 
@@ -732,7 +739,9 @@ class ConicProgram:
 
     @cached_property
     def _dense_coefficients(self) -> list:
-        """(scalars, mats) per block: the scalars it holds and their dense matrices."""
+        """(positions, mats) per block: the dense matrices of the k scalars it
+        holds, and the k*k positions of their (scalar, scalar) pairs in the
+        flattened (num_scalars, num_scalars) Hessian, row-major."""
         out = []
         for blk in self.blocks:
             tri, cf = triu_info(blk.dim), blk.coeffs
@@ -741,7 +750,7 @@ class ConicProgram:
             values = cf.data / tri.scale[cf.rows]
             mats[which, tri.rows[cf.rows], tri.cols[cf.rows]] = values
             mats[which, tri.cols[cf.rows], tri.rows[cf.rows]] = values
-            out.append((scalars, mats))
+            out.append(((scalars[:, None] * self.num_scalars + scalars).reshape(-1), mats))
         return out
 
     def newton_matrix(self) -> np.ndarray:
@@ -752,19 +761,21 @@ class ConicProgram:
         ``Omega = psd_jacobian_weights(lam)``.  Entry (k, l) is
         ``<C_k, J[C_l]>``, the sum of ``Omega o (Q^T C_k Q) o (Q^T C_l Q)``
         over the block's dense coefficient matrices, which the program
-        caches.  A block with no positive eigenvalue adds nothing.  Dense,
+        caches.  A block with no positive eigenvalue adds nothing.  Each
+        block's Gram product is added through its cached flat positions, which
+        on the toy's blocks costs a quarter of an ``np.ix_`` index.  Dense,
         (num_scalars, num_scalars).
         """
         n = self.num_scalars
-        hess = np.zeros((n, n))
-        for (lam, q), (scalars, mats) in zip(self._plan.eigenpairs, self._dense_coefficients):
+        hess = np.zeros(n * n)
+        for (lam, q), (positions, mats) in zip(self._plan.eigenpairs, self._dense_coefficients):
             if lam[-1] <= 0.0:
                 continue
             rotated = q.T @ mats @ q
             weighted = rotated * psd_jacobian_weights(lam)
-            k = len(scalars)
-            hess[np.ix_(scalars, scalars)] += rotated.reshape(k, -1) @ weighted.reshape(k, -1).T
-        return hess
+            k = len(mats)
+            hess[positions] += (rotated.reshape(k, -1) @ weighted.reshape(k, -1).T).reshape(-1)
+        return hess.reshape(n, n)
 
     def cone_distance(self, x: np.ndarray) -> float:
         """Euclidean distance of the stacked block values to the PSD cone product.

@@ -1,6 +1,7 @@
 """PSD projection, operator norms, the augmented Lagrangian, and the solver."""
 
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,46 @@ class TestNewtonInner:
         assert trace.status == "converged" and trace.inner_solver == "newton"
         assert not any(r.cap_limited for r in trace.records)
         assert abs(trace.final_objective - util.dual_bound(prog, trace.dual)) <= 1e-6
+
+    def test_failed_factorization_takes_projected_gradient_steps(self, monkeypatch):
+        # a Newton system that no regularization within the budget makes
+        # positive definite: every principal submatrix of 1e200 (I - 2 ones)
+        # is indefinite, so every factorization fails, and the loop must take
+        # plain projected-gradient steps, silently, under the strictest settings
+        problem, opts = problems.CONSTRUCTORS["example1_toy"]()
+        prog = build_chance_sdp(scale_problem(problem), 2, omega_r=opts.omega_r)
+        n, calls = prog.num_scalars, []
+
+        def newton_matrix(self):
+            calls.append(1)
+            return 1e200 * (np.eye(n) - 2.0)
+
+        monkeypatch.setattr(ConicProgram, "newton_matrix", newton_matrix)
+        x0 = prog.simple_set.project(np.zeros(n))
+        theta = np.zeros(len(prog.constants))
+        L = operator_norm(prog).sigma ** 2
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            x, iters, reason, steps = newton_inner(prog, x0, 1.0, theta, L, 1e-12 * L, 25)
+        assert reason == "iter_cap" and iters == 26 and steps == 0 and len(calls) == 25
+        assert np.isfinite(x).all()
+        expect = x0
+        for _ in range(iters):
+            g = prog.gradient(expect, prog.objective, theta + prog.constants)
+            expect = prog.simple_set.project(expect - g / L)
+        assert x.tobytes() == expect.tobytes()
+
+    def test_empty_free_set(self):
+        # x >= 2 over the box [-1, 1] from x = 1: the gradient points out of
+        # the box, so the Newton system is 0x0 and its step is empty; the
+        # loop accepts that zero step and stops, with nothing raised or warned
+        prog = scalar_block_program([[1.0]], [2.0], [0.0])
+        x0, theta = np.array([1.0]), np.zeros(1)
+        assert prog.gradient(x0, prog.objective, theta + prog.constants)[0] < 0.0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            x, iters, reason, steps = newton_inner(prog, x0, 1.0, theta, 1.0, 1e-3, 100)
+        assert (x.tolist(), iters, reason, steps) == ([1.0], 2, "step_small", 1)
 
     def test_size_rule(self):
         small = build_chance_sdp(scale_problem(problems.CONSTRUCTORS["example2_union"]()[0]), 1)

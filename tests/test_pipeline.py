@@ -168,6 +168,34 @@ class TestCli:
         assert "p_sdp=0.66" in out
         assert (tmp_path / "toy_d2_report.json").exists()
 
+    def test_parser_is_built_once(self):
+        from chanceopt.cli import _build_parser
+        assert _build_parser() is _build_parser()
+
+    def test_shared_parser_carries_no_flag_into_the_next_call(self, tmp_path):
+        # one parser serves every main() call in a process, so in-process
+        # calls must write the reports fresh processes write: the second
+        # call's flags differ from the first's, and the third gives none
+        flags = [["--seed", "5", "--max-inner-cap", "40"],
+                 ["--seed", "7", "--max-inner-cap", "300"], []]
+        for i, extra in enumerate(flags):
+            argv = ["verify", "example1_toy", "--samples", "2000", *extra]
+            assert main(argv + ["--out-dir", str(tmp_path / f"shared{i}")]) == 0
+            done = fresh_python("-m", "chanceopt", *argv, "--out-dir", str(tmp_path / f"fresh{i}"),
+                                cwd=tmp_path)
+            assert done.returncode == 0, done.stderr
+
+        def report(out):
+            doc = json.loads((tmp_path / out / "example1_toy_d2_report.json").read_text())
+            for res in doc["results"]:
+                del res["wall_times"]
+            return doc
+
+        reports = [report(f"shared{i}") for i in range(len(flags))]
+        assert reports == [report(f"fresh{i}") for i in range(len(flags))]
+        assert [(r["options"]["solver"]["seed"], r["options"]["solver"]["max_inner_cap"])
+                for r in reports] == [(5, 40), (7, 300), (0, 20000)]   # the file's own
+
     def test_bundled_name_resolves(self, tmp_path):
         code = main(["build", "example1_pair", "--order", "1",
                      "--out-dir", str(tmp_path)])

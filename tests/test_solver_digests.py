@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 import util
+from chanceopt import alcc
 from chanceopt.alcc import SolverParams, alcc_solve
 from chanceopt.cli import main
 from chanceopt.problems import load_bundled
@@ -99,6 +100,30 @@ def _rounding_probe() -> str:
         h.update(chol.tobytes())
         h.update(np.linalg.solve(chol.T, np.linalg.solve(chol, b)).tobytes())
     return h.hexdigest()
+
+
+def test_newton_calls_match_the_probed_calls(monkeypatch):
+    # the Newton step factors and solves through the gufuncs that
+    # np.linalg.cholesky and np.linalg.solve wrap; on every input the probe
+    # passes to the public calls they give the same bytes, so the probe
+    # selects the digest set for the calls the solver makes
+    seen = {"cholesky": [], "solve": []}
+
+    def recorder(name, public):
+        def call(*args):
+            seen[name].append(args)
+            return public(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in seen:
+            patch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
+        _rounding_probe()
+    assert len(seen["cholesky"]) == 5 and len(seen["solve"]) == 10
+    for (a,) in seen["cholesky"]:
+        assert alcc._cholesky(a, signature="d->d").tobytes() == np.linalg.cholesky(a).tobytes()
+    for a, b in seen["solve"]:
+        assert alcc._solve(a, b, signature="dd->d").tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 @pytest.fixture(scope="module")
