@@ -44,7 +44,7 @@ projected step, and the extrapolated point is rewritten in place.  For
 the same reason the Newton step factors and solves its system through
 LAPACK's gufuncs, the private numpy names that ``np.linalg.cholesky`` and
 ``np.linalg.solve`` wrap, as the projection calls ``eigh``'s, and copies
-the free part of the system only when some coordinate is held.  Each
+the free part of the system without ``np.ix_``.  Each
 operation and its order are those of the plain formulas, so the iterates
 are the same bits.
 
@@ -316,20 +316,15 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
         if ell > ell_max:
             reason = "iter_cap"
             break
-        free = ~(pinned | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        hess, gf = program.newton_matrix(), g
-        if not free.all():      # else the system is the whole, fresh matrix
-            free = np.flatnonzero(free)
-            hess, gf = hess[free[:, None], free], g[free]
+        free = np.flatnonzero(~(pinned | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))))
+        hess, gf = program.newton_matrix()[free[:, None], free], g[free]
         hess.flat[::len(gf) + 1] += kappa * math.sqrt(gf.dot(gf))
         # LAPACK fills a failed factor with NaN and raises the invalid flag
         with np.errstate(invalid="ignore"):
             chol = _cholesky(hess, signature="d->d")
         if np.isfinite(chol).all():
-            d = -_solve(chol.T, _solve(chol, gf, signature="dd->d"), signature="dd->d")
-            if gf is not g:     # d holds the free coordinates only
-                d_free, d = d, np.zeros_like(x)
-                d[free] = d_free
+            d = np.zeros_like(x)
+            d[free] = -_solve(chol.T, _solve(chol, gf, signature="dd->d"), signature="dd->d")
             trial = project(x + d)
             gt, phit, xt1, rt = evaluate(trial)
             ell += 1

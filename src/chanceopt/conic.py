@@ -192,24 +192,17 @@ def _partition(dims: list, cpus: int) -> list:
 
 
 def psd_jacobian_weights(lam: np.ndarray) -> np.ndarray:
-    """Omega of the PSD projection's derivative at ascending eigenvalues ``lam``.
+    """Omega of the PSD projection's derivative at eigenvalues ``lam``.
 
     ``Omega_ij = (lam_i+ - lam_j+) / (lam_i - lam_j)``: 1 where both are
     positive, 0 where neither is, and ``lam_i+ / (lam_i - lam_j)`` (or its
     mirror) between, where the denominator is at least the positive one.
-    The positive eigenvalues are the last ones, so the mixed entries are
-    one rectangle and its transpose.  For ``lam_i <= 0 < lam_j`` entry
-    (i, j) is ``-lam_j / (lam_i - lam_j)``, bit for bit the formula's
-    ``(0 - lam_j+) / (lam_i - lam_j)``; entry (j, i) is the formula's
-    quotient with both sides negated, which rounds the same.
     """
-    split = int(lam.searchsorted(0.0, side="right"))  # lam[split:] > 0
-    omega = np.zeros((len(lam), len(lam)))
-    omega[split:, split:] = 1.0
-    if split:
-        mixed = -lam[split:] / np.subtract.outer(lam[:split], lam[split:])
-        omega[:split, split:] = mixed
-        omega[split:, :split] = mixed.T
+    plus = np.maximum(lam, 0.0)
+    pos = lam > 0.0
+    omega = np.logical_and.outer(pos, pos).astype(float)
+    np.divide(np.subtract.outer(plus, plus), np.subtract.outer(lam, lam), out=omega,
+              where=np.not_equal.outer(pos, pos))
     return omega
 
 
