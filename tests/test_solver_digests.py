@@ -5,6 +5,9 @@ Each case is the sha256 of ``trace.x.tobytes()`` for one solve, with the
 order 2 (the main solve, and the indicator refinement at its decoded
 decision), the toy in the Chebyshev basis, and the union at order 1, all
 with an inner cap of 2000 and all small enough for Newton inner solves.
+The toy at order 2 and the union at order 1 are pinned once more on APG
+inner solves, forced by lowering the Newton size limit to 0, as APG
+serves every larger program.
 One more case is the sha256 of the series CSV of the seed-0 toy sweep at
 order 2 with an inner cap of 6000, the benchmark's toy operation: its
 three solves, decoded decisions and Monte Carlo estimate.  A change to
@@ -51,6 +54,8 @@ INNER = {
     "toy_d2_indicator": _steps(4, 5, 4, 6, 7, 7, 7, 7, 7, 6, 5),
     "toy_d2_chebyshev": _steps(19, 24, 7, 10, 13, 9, 14, 29, 17, 9, 12, 6, last="floor"),
     "union_d1": _steps(15, 7, 65, 25, 11, 7),
+    "toy_d2_apg": _steps(34, 161, 338, 845) + [(2001, "iter_cap")] * 8,
+    "union_d1_apg": _steps(89, 272) + [(2001, "iter_cap")] * 6,
 }
 
 # the sha256 of each solve's final x, keyed by the probe of the rounding
@@ -63,6 +68,9 @@ DIGESTS = {
         "toy_d2_chebyshev":
             "aa976704b1a3dd8e7f5bfb522c223f51d67679834f25c70d95630bef52abb45c",
         "union_d1": "9ffc32d75330dc1400bc1bc9633a3d14696646a40d90a0f94e9eb25c78bf1945",
+        "toy_d2_apg": "ea93e9b893bb9b8ada3726b62d33076a66a209034c881de7eb61af03ac047f64",
+        "union_d1_apg":
+            "149c678d9a1c25d4a2a1a715225cd4d3f432fb6bb54788c0cf3629c685019736",
         "toy_d2_sweep_csv":
             "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
     },
@@ -74,6 +82,9 @@ DIGESTS = {
         "toy_d2_chebyshev":
             "8c6cb8d335dd52c4443ce4dcfc635b32901850dc1b7b88cabdb6fe0b74cd4a51",
         "union_d1": "8b07e782d70c1a70b738a8b02f3bfe813f278e82ec1ef4bd782f1ce11619c303",
+        "toy_d2_apg": "2baeb7d035cac719da47db6f49ae6a6509bb78dc91cf8938880c541a63c38170",
+        "union_d1_apg":
+            "97af59d100da38e221e146306b58995c17623b0941eb5833352cb679358f548a",
         "toy_d2_sweep_csv":
             "915860db407b69ee8d10af683d842544dd21b3ce948df2b6f2cd34cda5d9b9bc",
     },
@@ -148,6 +159,10 @@ def traces(digests):
         ("union_d1", build_chance_sdp(union, 1)),
     ):
         out[name] = alcc_solve(program, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alcc, "_NEWTON_MAX_SCALARS", 0)
+        out["toy_d2_apg"] = alcc_solve(build_chance_sdp(toy, 2), params)
+        out["union_d1_apg"] = alcc_solve(build_chance_sdp(union, 1), params)
     return out
 
 
@@ -155,7 +170,8 @@ def traces(digests):
 def test_solver_trajectory_pinned(digests, traces, name):
     trace = traces[name]
     assert [(r.inner_iters, r.inner_stop) for r in trace.records] == INNER[name]
-    assert trace.status == "converged" and trace.inner_solver == "newton"
+    assert trace.status == "converged"
+    assert trace.inner_solver == ("apg" if name.endswith("_apg") else "newton")
     assert hashlib.sha256(trace.x.tobytes()).hexdigest() == digests[name]
 
 
