@@ -37,16 +37,13 @@ The gradient of the smooth part lives in one place,
 applies the operator, projects onto the PSD blocks and applies the
 adjoint; its eigenpairs stay readable for the Newton system.  The
 per-outer residual and dual update use the PSD projection
-``ConicProgram.project_dual``.  On small programs an APG iteration costs
-more in numpy call overhead than in arithmetic, so that loop reuses its
-buffers: the gradient array becomes the gradient step and then the
-projected step, and the extrapolated point is rewritten in place.  For
-the same reason the Newton step factors and solves its system through
-LAPACK's gufuncs, the private numpy names that ``np.linalg.cholesky`` and
-``np.linalg.solve`` wrap, as the projection calls ``eigh``'s, and copies
-the free part of the system without ``np.ix_``.  Each
-operation and its order are those of the plain formulas, so the iterates
-are the same bits.
+``ConicProgram.project_dual``.  On small programs a Newton step costs
+more in numpy call overhead than in arithmetic, so it factors and solves
+its system through LAPACK's gufuncs, the private numpy names that
+``np.linalg.cholesky`` and ``np.linalg.solve`` wrap, as the projection
+calls ``eigh``'s, and copies the free part of the system without
+``np.ix_``.  Each operation and its order are those of the plain
+formulas, so the iterates are the same bits.
 
 ``alcc_steps`` yields each outer's ``OuterState``: record, iterate and
 ``Z = nu_k proj(theta + b - A(x))``, the PSD dual of the objective; it
@@ -204,24 +201,19 @@ def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
     gradient, project = program.gradient, program.simple_set.project
     threshold = eta_over_nu / (2.0 * L)
 
-    x_prev = start.copy()      # x_{l-1}^{(1)}
-    x2 = start.copy()          # extrapolated point, rewritten in place
+    x_prev = y = start         # x_{l-1}^{(1)} and the extrapolated point
     t = 1.0
     ell = 0
     while True:
         ell += 1
-        step = gradient(x2, c_over_nu, theta_b)
-        step /= L
-        x1 = project(np.subtract(x2, step, out=step))
-        np.subtract(x1, x2, out=step)
+        x1 = project(y - gradient(y, c_over_nu, theta_b) / L)
+        step = x1 - y
         if math.sqrt(step.dot(step)) <= threshold:    # the 2-norm, as np.linalg.norm
             return x1, ell, "step_small", None
         if ell > ell_max:
             return x1, ell, "iter_cap", None
         t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        np.subtract(x1, x_prev, out=x2)
-        x2 *= (t - 1.0) / t_next
-        x2 += x1
+        y = x1 + (t - 1.0) / t_next * (x1 - x_prev)
         x_prev = x1
         t = t_next
 
@@ -278,17 +270,6 @@ def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
     c_over_nu = program.objective / nu
     theta_b = theta + program.constants
     threshold = eta_over_nu / (2.0 * L)
-    # OpenBLAS's threads only slow the small dense products, and would make
-    # the bits depend on the CPUs: toy order 4 (54 scalars) took 0.71 s with
-    # two threads and 0.11 s with one
-    with one_blas_thread():
-        return _newton_loop(program, start, c_over_nu, theta_b, L, threshold, ell_max)
-
-
-def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
-                 theta_b: np.ndarray, L: float, threshold: float,
-                 ell_max: float) -> tuple[np.ndarray, int, str, int]:
-    """``newton_inner``'s loop, with its return value."""
     gradient, project = program.gradient, program.simple_set.project
     lo, hi = program.simple_set.bounds
     pinned = lo == hi
@@ -302,46 +283,46 @@ def _newton_loop(program: ConicProgram, x: np.ndarray, c_over_nu: np.ndarray,
         phi = float(c_over_nu @ x) + 0.5 * program.projected_norm2()
         return g, phi, x1, math.sqrt(step.dot(step))
 
-    g, phi, x1, r = evaluate(x)
-    ell, steps, kappa = 1, 0, _KAPPA0
-    polished = False       # x was reached by a Newton step taken once the test held
-    while True:
-        met = r <= threshold
-        if met and polished:
-            reason = "step_small"
-            break
-        if not met and r <= floor * (1.0 + math.sqrt(x.dot(x))):
-            reason = "floor"
-            break
-        if ell > ell_max:
-            reason = "iter_cap"
-            break
-        free = np.flatnonzero(~(pinned | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))))
-        hess, gf = program.newton_matrix()[free[:, None], free], g[free]
-        hess.flat[::len(gf) + 1] += kappa * math.sqrt(gf.dot(gf))
-        # LAPACK fills a failed factor with NaN and raises the invalid flag
-        with np.errstate(invalid="ignore"):
-            chol = _cholesky(hess, signature="d->d")
-        if np.isfinite(chol).all():
-            d = np.zeros_like(x)
-            d[free] = -_solve(chol.T, _solve(chol, gf, signature="dd->d"), signature="dd->d")
-            trial = project(x + d)
-            gt, phit, xt1, rt = evaluate(trial)
-            ell += 1
-            if phit <= phi + _ARMIJO * float(g @ (trial - x)) or rt <= 0.9 * r:
-                x, g, phi, x1, r = trial, gt, phit, xt1, rt
-                steps += 1
-                kappa = max(kappa / _KAPPA_FACTOR, _KAPPA_MIN)
-                polished = met
-                continue
-        if met:
-            reason = "step_small"
-            break
-        kappa *= _KAPPA_FACTOR
-        x = x1
+    # OpenBLAS's threads only slow the small dense products, and would make
+    # the bits depend on the CPUs: toy order 4 (54 scalars) took 0.71 s with
+    # two threads and 0.11 s with one
+    with one_blas_thread():
+        x = start
         g, phi, x1, r = evaluate(x)
-        ell += 1
-    return x1, ell, reason, steps
+        ell, steps, kappa = 1, 0, _KAPPA0
+        polished = False       # x was reached by a Newton step taken once the test held
+        while True:
+            met = r <= threshold
+            if met and polished:
+                return x1, ell, "step_small", steps
+            if not met and r <= floor * (1.0 + math.sqrt(x.dot(x))):
+                return x1, ell, "floor", steps
+            if ell > ell_max:
+                return x1, ell, "iter_cap", steps
+            free = np.flatnonzero(~(pinned | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))))
+            hess, gf = program.newton_matrix()[free[:, None], free], g[free]
+            hess.flat[::len(gf) + 1] += kappa * math.sqrt(gf.dot(gf))
+            # LAPACK fills a failed factor with NaN and raises the invalid flag
+            with np.errstate(invalid="ignore"):
+                chol = _cholesky(hess, signature="d->d")
+            if np.isfinite(chol).all():
+                d = np.zeros_like(x)
+                d[free] = -_solve(chol.T, _solve(chol, gf, signature="dd->d"), signature="dd->d")
+                trial = project(x + d)
+                gt, phit, xt1, rt = evaluate(trial)
+                ell += 1
+                if phit <= phi + _ARMIJO * float(g @ (trial - x)) or rt <= 0.9 * r:
+                    x, g, phi, x1, r = trial, gt, phit, xt1, rt
+                    steps += 1
+                    kappa = max(kappa / _KAPPA_FACTOR, _KAPPA_MIN)
+                    polished = met
+                    continue
+            if met:
+                return x1, ell, "step_small", steps
+            kappa *= _KAPPA_FACTOR
+            x = x1
+            g, phi, x1, r = evaluate(x)
+            ell += 1
 
 
 def inner_solver(program: ConicProgram) -> Callable:
@@ -355,11 +336,14 @@ def dual_bound(program: ConicProgram, z: np.ndarray) -> float:
 
     A lower bound on min c.x over the program for every PSD Z: the
     Lagrangian's PSD term is nonnegative and its box term is minimized
-    coordinate by coordinate.
+    coordinate by coordinate, at r_i l_i where r_i > 0, r_i u_i where
+    r_i < 0 and 0 where r_i = 0, also when that coordinate's bound is
+    infinite.
     """
     lo, hi = program.simple_set.bounds
     r = program.objective - program.adjoint(z)
-    return float(z @ program.constants + np.minimum(r * lo, r * hi).sum())
+    bound = np.where(r > 0.0, lo, np.where(r < 0.0, hi, 0.0))    # 0 * inf would be NaN
+    return float(z @ program.constants + (r * bound).sum())
 
 
 class OuterState(NamedTuple):

@@ -28,8 +28,10 @@ the operator's rows.  ``gradient`` and ``project_dual`` share one
 projection core and differ only in how they fill the batch and read it
 back.  The operator and the plan keep work buffers that every call
 reuses, so the loop allocates little beyond its results; this is also
-why a program is not reentrant.  A 1x1 block's cone is the half-line,
-so its projection is a clip at zero with no eigendecomposition.
+why a program is not reentrant.  Every block, 1x1 blocks included, goes
+through the same batched eigendecomposition: for a 1x1 block LAPACK
+returns its value and the eigenvector 1, so the projection is the clip
+at zero.
 
 The projection clips the eigenvalues into a second buffer, so after a
 call each block's eigenvalues and eigenvectors stay readable
@@ -390,14 +392,13 @@ class _Lane(NamedTuple):
 class _ProjPlan(NamedTuple):
     """Index maps and work buffers for projecting every block in one pass.
 
-    The batch holds each block as a dense matrix: the 1x1 blocks first,
-    then lane by lane the lane's blocks, those of one dimension next to
-    each other and the dimensions in increasing order.
+    The batch holds each block as a dense matrix, lane by lane: the lane's
+    blocks, those of one dimension next to each other and the dimensions
+    in increasing order.
     """
 
     gather: np.ndarray   # (batch,): stacked svec position of each batch entry
     divisor: np.ndarray  # (batch,): svec scale of that entry
-    halfline: Optional[tuple]  # (batch, reconstruction) views of the 1x1 blocks
     lanes: list          # _Lane per lane; lane 0 is the caller's
     batch: np.ndarray    # gathered matrices, then the scaled eigenvectors
     recon: np.ndarray    # projected matrices
@@ -518,75 +519,47 @@ class ConicProgram:
     @cached_property
     def _plan(self) -> _ProjPlan:
         dims = [blk.dim for blk in self.blocks]
-        eig = [i for i, dim in enumerate(dims) if dim > 1]
-        lanes = [[eig[j] for j in members]
-                 for members in _partition([dims[i] for i in eig], _usable_cpus())]
+        lanes = _partition(dims, _usable_cpus())
         if len(lanes) > 1 and _openblas_threads() is None:
-            lanes = [eig]
+            lanes = [list(range(len(dims)))]
+        batch, recon, vecs = (np.empty(sum(dim * dim for dim in dims)) for _ in range(3))
+        vals, plus = np.empty(sum(dims)), np.empty(sum(dims))
         stacked = self.block_slices[-1].stop
-        source = np.empty(stacked, dtype=np.intp)
-        scale = np.empty(stacked)
-        gather, off = [], 0
-
-        def lay_out(dim: int, members: list) -> tuple:
-            """Put the blocks ``members`` of dimension ``dim`` next in the batch."""
-            nonlocal off
-            tri = triu_info(dim)
-            idx = np.array([np.arange(self.block_slices[i].start, self.block_slices[i].stop)
-                            for i in members])
-            n = len(members)
-            gather.append(idx[:, tri.position].ravel())
-            source[idx] = off + np.arange(n)[:, None] * dim * dim + tri.rows * dim + tri.cols
-            scale[idx] = tri.scale
-            off += n * dim * dim
-            return dim, n, off - n * dim * dim
-
-        ones = [i for i, dim in enumerate(dims) if dim == 1]
-        halfline = lay_out(1, ones) if ones else None
-        spans = []
-        for members in lanes:
-            by_dim: dict[int, list[int]] = {}
-            for i in sorted(members):
-                by_dim.setdefault(dims[i], []).append(i)
-            spans.append([lay_out(dim, group) for dim, group in sorted(by_dim.items())])
-        batch, recon, vecs = np.empty(off), np.empty(off), np.empty(off)
-        vals = np.empty(sum(n * dim for lane in spans for dim, n, _ in lane))
-        plus = np.empty_like(vals)
-        pairs = [None] * len(dims)
-
-        def views(dim: int, n: int, o: int) -> tuple:
-            return (batch[o:o + n * dim * dim].reshape(n, dim, dim),
-                    vecs[o:o + n * dim * dim].reshape(n, dim, dim),
-                    recon[o:o + n * dim * dim].reshape(n, dim, dim))
+        source, scale = np.empty(stacked, dtype=np.intp), np.empty(stacked)
+        gather, pairs, plan_lanes = [], [None] * len(dims), []
 
         def read_only(arr: np.ndarray) -> np.ndarray:
             view = arr.view()
             view.flags.writeable = False
             return view
 
-        if halfline is not None:
-            mats, _, out = views(*halfline)
-            halfline = (mats, out)
-            unit = read_only(np.ones((1, 1)))
-            for i, mat in zip(ones, mats):
-                pairs[i] = (read_only(mat[0]), unit)
-        plan_lanes, v = [], 0
-        for members, lane in zip(lanes, spans):
+        off = v = 0
+        for members in lanes:
+            by_dim: dict[int, list[int]] = {}
+            for i in sorted(members):
+                by_dim.setdefault(dims[i], []).append(i)
             pieces, first = [], v
-            for dim, n, o in lane:
-                mats, piece_vecs, out = views(dim, n, o)
+            for dim, group in sorted(by_dim.items()):
+                tri, n = triu_info(dim), len(group)
+                idx = np.array([np.arange(self.block_slices[i].start, self.block_slices[i].stop)
+                                for i in group])
+                gather.append(idx[:, tri.position].ravel())
+                source[idx] = off + np.arange(n)[:, None] * dim * dim + tri.rows * dim + tri.cols
+                scale[idx] = tri.scale
+                mats, piece_vecs, out = (buf[off:off + n * dim * dim].reshape(n, dim, dim)
+                                         for buf in (batch, vecs, recon))
                 piece_vals = vals[v:v + n * dim].reshape(n, dim)
                 piece_plus = plus[v:v + n * dim].reshape(n, dim)
                 pieces.append(_Piece(dim, mats, piece_vals, piece_vecs, out,
                                      piece_plus[:, None, :], piece_vecs.transpose(0, 2, 1)))
-                group = [i for i in sorted(members) if dims[i] == dim]
                 for i, lam, q in zip(group, piece_vals, piece_vecs):
                     pairs[i] = (read_only(lam), read_only(q))
+                off += n * dim * dim
                 v += n * dim
             plan_lanes.append(_Lane(pieces, vals[first:v], plus[first:v]))
         gather = np.concatenate(gather)
-        return _ProjPlan(gather, scale[gather], halfline, plan_lanes, batch, recon,
-                         source, scale, plus, tuple(pairs))
+        return _ProjPlan(gather, scale[gather], plan_lanes, batch, recon, source, scale, plus,
+                         tuple(pairs))
 
     @contextmanager
     def lanes(self) -> Iterator[int]:
@@ -623,8 +596,7 @@ class ConicProgram:
         clipped reconstructions land in a second batch, and one gather
         through the upper-triangle index reads the result back.  Inside
         ``lanes`` the pool runs the lanes after the first while the
-        caller runs lane 0; elsewhere the caller runs them all.  1x1
-        blocks are clipped at zero without an eigendecomposition.  Only
+        caller runs lane 0; elsewhere the caller runs them all.  Only
         the returned vector is newly allocated.  A non-finite eigenvalue
         (LAPACK failed, or a block was not finite) raises
         ``NumericalError`` naming every block of its dimension, also where
@@ -679,8 +651,8 @@ class ConicProgram:
     def _project_batch(self, s: np.ndarray) -> None:
         """Project the blocks of ``s`` into the plan's reconstruction buffer.
 
-        One gather fills the batch; the lanes, the check for a failed
-        eigendecomposition and the 1x1 clip follow.
+        One gather fills the batch; the lanes and the check for a failed
+        eigendecomposition follow.
         """
         plan = self._plan
         batch = s.take(plan.gather, out=plan.batch, mode="clip")  # "raise" copies `out`
@@ -706,9 +678,6 @@ class ConicProgram:
             dim = min(failed)[1]   # a raised warning first, then the smallest dim
             raise _eigh_failed(dim, [piece.mats for lane in plan.lanes
                                      for piece in lane.pieces if piece.dim == dim])
-        if plan.halfline is not None:
-            mats, recon = plan.halfline
-            np.maximum(mats, 0.0, out=recon)
 
     def eigenpairs(self) -> tuple:
         """(eigenvalues, eigenvectors) of each block at the last projection.
@@ -717,18 +686,14 @@ class ConicProgram:
         ``project_dual`` overwrites: the ascending eigenvalues of the
         block's dense matrix and its orthonormal eigenvectors as columns, so
         ``(Q * lam) @ Q.T`` rebuilds the matrix that was projected.  A 1x1
-        block's pair is its value and ``[[1.0]]``.
+        block's pair is its value and ``[[1.0]]``, as LAPACK returns them.
         """
         return self._plan.eigenpairs
 
     def projected_norm2(self) -> float:
         """Squared norm of the last projection's result, from its clipped eigenvalues."""
-        plan = self._plan
-        total = plan.plus.dot(plan.plus)
-        if plan.halfline is not None:
-            clipped = plan.halfline[1].reshape(-1)
-            total += clipped.dot(clipped)
-        return float(total)
+        plus = self._plan.plus
+        return float(plus.dot(plus))
 
     @cached_property
     def _dense_coefficients(self) -> list:

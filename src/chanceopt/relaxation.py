@@ -349,6 +349,8 @@ def build_chance_sdp(problem, order: int, omega_r: float = 0.01,
     dominance and set blocks imply it is PSD.
     """
     _check_basis(basis)
+    if not math.isfinite(omega_r):
+        raise ValueError("omega_r must be finite")
     if omega_r < 0:
         raise ValueError("omega_r must be nonnegative")
     scaled = _as_scaled(problem)
@@ -401,6 +403,8 @@ def build_refinement_sdp(problem, x_scaled: Sequence[float], order: int,
     x_scaled = np.asarray(x_scaled, dtype=float)
     if x_scaled.shape != (n,):
         raise DimensionError(f"decision point has shape {x_scaled.shape}, expected ({n},)")
+    if not np.isfinite(x_scaled).all():
+        raise ModelError("decision point is not finite")
     if np.any(np.abs(x_scaled) > 1.0 + 1e-9):
         raise ModelError("decision point lies outside the scaled box [-1,1]^n")
     if mode == "single":

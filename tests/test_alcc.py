@@ -1,5 +1,6 @@
 """PSD projection, operator norms, the augmented Lagrangian, and the solver."""
 
+import math
 import threading
 import warnings
 from dataclasses import replace
@@ -14,12 +15,19 @@ from chanceopt.alcc import (
     alcc_solve,
     alcc_steps,
     apg_inner,
+    dual_bound,
     newton_inner,
     operator_norm,
 )
 from chanceopt.conic import ConicProgram, PsdBlock, SimpleSet, svec
 from chanceopt.errors import NumericalError
-from chanceopt.relaxation import build_chance_sdp, build_refinement_sdp, decode, scale_problem
+from chanceopt.relaxation import (
+    build_chance_sdp,
+    build_refinement_sdp,
+    decode,
+    min_relaxation_order,
+    scale_problem,
+)
 from util import project_psd
 
 
@@ -178,7 +186,45 @@ class TestAugLagrangian:
             assert abs(fd - float(grad @ v)) < 1e-5
 
 
+def _apg_in_place(program, start, nu, theta, L, eta_over_nu, ell_max):
+    """``apg_inner`` as a chain of in-place operations: the gradient array
+    becomes the gradient step, then the projected step, and the
+    extrapolated point is rewritten in place.  Returns (point, iterations)."""
+    c_over_nu = program.objective / nu
+    theta_b = theta + program.constants
+    threshold = eta_over_nu / (2.0 * L)
+    x_prev, x2, t, ell = start.copy(), start.copy(), 1.0, 0
+    while True:
+        ell += 1
+        step = program.gradient(x2, c_over_nu, theta_b)
+        step /= L
+        x1 = program.simple_set.project(np.subtract(x2, step, out=step))
+        np.subtract(x1, x2, out=step)
+        if math.sqrt(step.dot(step)) <= threshold or ell > ell_max:
+            return x1, ell
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        np.subtract(x1, x_prev, out=x2)
+        x2 *= (t - 1.0) / t_next
+        x2 += x1
+        x_prev, t = x1, t_next
+
+
 class TestApgInner:
+    @pytest.mark.parametrize("name", ["example1_toy", "example2_union"])
+    def test_plain_steps_match_the_in_place_chain(self, name):
+        # IEEE + and * are commutative, so y - g / L and x1 + a * (x1 - x_prev)
+        # round as the in-place chain does: the same bits at every iteration
+        problem, _ = problems.CONSTRUCTORS[name]()
+        prog = build_chance_sdp(scale_problem(problem), min_relaxation_order(problem))
+        rng = np.random.default_rng(23)
+        theta = rng.uniform(0.0, 0.1, len(prog.constants))
+        start = prog.simple_set.project(rng.uniform(-1.0, 1.0, prog.num_scalars))
+        L = operator_norm(prog).sigma ** 2
+        for eta_over_nu, cap, stop in ((0.0, 300, "iter_cap"), (1e-3, 2000, "step_small")):
+            x, iters, reason, _ = apg_inner(prog, start, 3.0, theta, L, eta_over_nu, cap)
+            want, want_iters = _apg_in_place(prog, start, 3.0, theta, L, eta_over_nu, cap)
+            assert reason == stop and iters == want_iters and x.tobytes() == want.tobytes()
+
     def test_momentum_sequence_prefix(self):
         t = 1.0
         t2 = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -331,6 +377,25 @@ class TestAlccSolve:
         assert trace.outer_iterations < params.max_outer
         assert trace.x[0] == 1.0 and trace.final_residual == pytest.approx(1.0)
 
+    def test_zero_reduced_cost_on_an_unbounded_coordinate(self):
+        # min x0 subject to x0 >= 1 over x0 in [-5, 5], and x1 free at zero
+        # cost: at Z = 1 x1's reduced cost is 0 and its bounds infinite, and
+        # it adds 0 to the dual bound, where 0 * inf would make it NaN
+        prog = ConicProgram(
+            objective=np.array([1.0, 0.0]),
+            blocks=[PsdBlock(dim=1, label="x0 >= 1", coeffs=util.to_sparse([[1.0, 0.0]]),
+                             constant=np.array([[1.0]]))],
+            simple_set=SimpleSet(lower=np.array([-5.0, -np.inf]),
+                                 upper=np.array([5.0, np.inf]),
+                                 pinned_idx=np.array([], dtype=int), pinned_val=np.array([])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = alcc_solve(prog)
+            assert dual_bound(prog, np.array([1.0])) == 1.0
+            assert util.dual_bound(prog, np.array([1.0])) == 1.0
+        assert trace.status == "converged" and trace.inner_solver == "newton"
+        assert trace.x.tolist() == [1.0, 0.0]
+
     def test_two_scalar_toy_sdp(self):
         # maximize x1 subject to diag(1 - x1, x1) being PSD: optimum 1
         coeffs_x1 = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
@@ -387,8 +452,9 @@ class TestAlccSolve:
 
     @pytest.mark.parametrize("dim", [1, 2], ids=["1x1", "2x2"])
     def test_non_finite_iterate_raises_with_trace(self, dim):
-        # a NaN objective gets through the 1x1 clip to the iterate check; a
-        # NaN block constant makes the 2x2 eigendecomposition fail before outer 1
+        # a NaN objective makes the inner iterate NaN, which the 1x1 block's
+        # projection stops; a NaN block constant makes the 2x2
+        # eigendecomposition fail before outer 1
         if dim == 1:
             prog = scalar_block_program([[1.0]], [0.5], [float("nan")])
         else:

@@ -226,6 +226,35 @@ class TestProjectDual:
                 with pytest.raises(NumericalError, match=match):
                     prog.project_dual(s)
 
+    def test_scalar_blocks_clip_at_zero(self):
+        # a 1x1 block goes through the batched eigh like every other block;
+        # LAPACK returns its value with the eigenvector [[1.0]], so the
+        # projection is the clip max(v, 0): the same bytes, and for a signed
+        # zero the same value
+        values = np.array([-3.5, 2.25, -1e-300, 1e-300, -5e-324, 5e-324, 2.2e-308,
+                           -1e154, 1e150, 1e153, -0.0, 0.0])
+        prog = util.block_program(*[1] * len(values))
+        got, want = prog.project_dual(values), np.maximum(values, 0.0)
+        nonzero = values != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert np.array_equal(got, want)
+        for (lam, q), v in zip(prog.eigenpairs(), values):
+            assert lam.tolist() == [v] and q.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
+    def test_nan_in_a_scalar_block_raises(self, programs, action):
+        # the toy's 1x1 block (block 2) stops a NaN in the projection, from
+        # both project_dual and the gradient, as every other block does
+        prog = programs["toy_d2"]
+        theta_b = prog.constants.copy()
+        theta_b[prog.block_slices[2]] = np.nan
+        x = np.zeros(prog.num_scalars)
+        with _failure_mode(action):
+            with pytest.raises(NumericalError, match="1 blocks of dim 1 "):
+                prog.project_dual(theta_b)
+            with pytest.raises(NumericalError, match="1 blocks of dim 1 "):
+                prog.gradient(x, prog.objective, theta_b)
+
     @pytest.mark.parametrize("name", ["toy_d2", "union_d2"])
     def test_adjoint_is_transpose_on_repeated_calls(self, programs, name):
         prog = programs[name]
@@ -386,9 +415,9 @@ class TestLanes:
     bits for any number of lanes, failures included."""
 
     @pytest.mark.parametrize("name, cpus, layout", [
-        ("toy_d2", 2, [[(3, 1), (6, 2)]]),
-        ("union_d1", 2, [[(11, 3)]]),
-        ("union_d1", 3, [[(11, 3)]]),
+        ("toy_d2", 2, [[(1, 1), (3, 1), (6, 2)]]),
+        ("union_d1", 2, [[(1, 4), (11, 3)]]),
+        ("union_d1", 3, [[(1, 4), (11, 3)]]),
         ("union_d2", 1, [[(11, 4), (66, 3)]]),
         ("union_d2", 2, [[(66, 2)], [(11, 4), (66, 1)]]),
         ("union_d2", 3, [[(11, 2), (66, 1)], [(11, 1), (66, 1)], [(11, 1), (66, 1)]]),
@@ -436,7 +465,7 @@ class TestLanes:
         # block 0 (66) in lane 0; as in one lane, the smallest dim is named
         util.plan_for_cpus(monkeypatch, 2)
         prog = _LANE_PROGRAMS["hand_built"]()
-        assert util.lane_layout(prog) == [[(66, 2)], [(11, 2), (66, 1)]]
+        assert util.lane_layout(prog) == [[(66, 2)], [(1, 1), (11, 2), (66, 1)]]
         good = np.random.default_rng(12).standard_normal(prog.operator.shape[0])
         bad = good.copy()
         for block in blocks:
@@ -527,7 +556,7 @@ class TestLanes:
             monkeypatch.setattr(conic, "_eigh", eigh)
             with pytest.raises(MemoryError, match="caller"):
                 prog.project_dual(s)
-            assert done == [(2, 11), (1, 66)]    # lane 1's pieces, both finished
+            assert done == [(1, 1), (2, 11), (1, 66)]    # lane 1's pieces, all finished
 
     def test_nested_lanes_start_nothing(self, monkeypatch):
         # an inner entry neither adds a thread per lane, which would write the

@@ -432,6 +432,12 @@ class TestRefinement:
         with pytest.raises(ModelError):
             build_refinement_sdp(util.toy_problem(), [1.5], 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, value):
+        # NaN passes the box test |x| > 1, and would fail only in the solve
+        with pytest.raises(ModelError, match="not finite"):
+            build_refinement_sdp(util.toy_problem(), [value], 2)
+
     def test_union_shared_dominance(self):
         # two disjoint half-interval sets, union measure exactly one half;
         # the shared dominance keeps the summed mass at or below one and the
@@ -494,6 +500,11 @@ class TestSandwich:
 
 
 class TestTraceRegularization:
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega_r must be finite"):
+            build_chance_sdp(util.toy_problem(), 2, omega_r=omega)
+
     def test_near_rank_one_decision_moments(self):
         # with enough trace weight the decision moment matrix collapses
         # toward rank one at the optimum

@@ -542,8 +542,12 @@ def dual_bound(prog, z):
 
     Every PSD Z gives a lower bound on min c.x over the program: the
     Lagrangian's PSD term is nonnegative and the box term is minimised
-    coordinate by coordinate.
+    coordinate by coordinate.  A coordinate with r_i = 0 adds 0, whatever
+    its bounds, infinite ones included.
     """
     lo, hi = prog.simple_set.bounds
     r = prog.objective - to_dense(prog.operator).T @ z
-    return float(z @ prog.constants + np.minimum(r * lo, r * hi).sum())
+    terms = r * 0.0      # 0, or NaN where r is
+    up, down = r > 0, r < 0
+    terms[up], terms[down] = r[up] * lo[up], r[down] * hi[down]
+    return float(z @ prog.constants + terms.sum())
