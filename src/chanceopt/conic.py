@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -426,7 +425,9 @@ def _project_lane(lane: _Lane) -> Optional[tuple]:
             _eigh(mats, signature="d->dd", out=(vals, vecs))
         except (RuntimeWarning, FloatingPointError):
             return 0, dim
-    if not math.isfinite(lane_vals.dot(lane_vals)):  # finite if every eigenvalue is
+    # isfinite sets no floating-point flag: a sum of squares would overflow,
+    # and warn or raise, beyond |eigenvalue| ~ 1.34e154
+    if np.count_nonzero(np.isfinite(lane_vals)) < lane_vals.size:
         for dim, _, vals, _, _, _, _ in pieces:
             if not np.isfinite(vals).all():
                 return 1, dim

@@ -18,20 +18,21 @@ monomials the draws are evaluated on.  For a decision ``x`` the table
 folds into a (P, K) coefficient matrix ``C`` (each term contributes
 ``coef * x**alpha`` to its row and monomial).  For a block of draws each
 monomial row of ``M`` multiplies its factors, read in place from the
-coordinate-major draws of ``sample``, a power being its coordinate
+coordinate-major draws of ``sample_blocks``, a power being its coordinate
 repeated (``q1**2 * q3`` is ``q1 * q1 * q3``), and one ``C @ M``
 evaluates all P polynomials; a draw is inside a set when all of the
 set's rows (a contiguous range) are ``>= 0``, and inside the union when
 it is inside any set.  The estimate is the count of draws inside over
 the number of draws.
 
-The estimator streams its draws from ``sample_blocks`` one block of
-``_BLOCK`` draws at a time, so a verification holds O(m x 4,096) draws
-whatever its sample count.  The grid search draws each point's samples
-at once with ``sample`` (20,000 x 4 doubles, 640 KB, for the control
-benchmark): copying the generator per coordinate, as the stream does,
-would cost time at every point, and a point's memory does not grow with
-the grid.
+The estimator and the grid search stream their draws from
+``sample_blocks`` one block of ``_BLOCK`` draws at a time, so an estimate
+holds O(m x 4,096) draws whatever its sample count, and a decision is
+folded into ``C`` once per estimate, not once per block.  The grid search
+stops drawing for a point as soon as the point can no longer win: once its
+draws inside plus its draws left fall below the most draws inside of any
+point evaluated in full.  Such a point can neither beat nor tie that one,
+so the best point and its estimate are those of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ import numpy as np
 
 from .conic import _usable_cpus
 from .errors import ChanceOptError, DimensionError, ModelError, ResourceError
-from .measures import check_samplable, sample, sample_blocks
+from .measures import check_samplable, sample_blocks
+# No caller here: ``sample`` stays importable from this module because
+# perfbench/layers.py wraps ``chanceopt.mc.sample`` by name, and a traced
+# benchmark run fails on the missing attribute without it.
+from .measures import sample  # noqa: F401
 from .poly import grevlex_key
 from .relaxation import ChanceProblem
 
@@ -109,18 +114,18 @@ class UnionEvaluator:
         return np.bincount(self._slots, weights=weights,
                            minlength=self.shape[0] * self.shape[1]).reshape(self.shape)
 
-    def membership(self, x: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Boolean array: which rows of ``draws`` lie in the union at ``x``.
+    def membership(self, coef: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Boolean array: which rows of ``draws`` lie in the union at the
+        decision that :meth:`coefficients` folded into ``coef``.
 
         ``draws`` is read in blocks of columns of ``draws.T``, without a
-        copy; the transposed view that :func:`~chanceopt.measures.sample`
-        returns makes each coordinate's block contiguous.  A monomial row is
-        the product of its factors in coordinate order, left to right, a
-        power being its coordinate repeated: the constant row is 1, a lone
+        copy; the transposed views that :mod:`~chanceopt.measures` returns
+        make each coordinate's block contiguous.  A monomial row is the
+        product of its factors in coordinate order, left to right, a power
+        being its coordinate repeated: the constant row is 1, a lone
         factor is copied, and otherwise the first two factors take one
         ``np.multiply`` and each later factor one in-place multiply.
         """
-        coef = self.coefficients(x)
         member = np.empty(draws.shape[0], dtype=bool)
         for start in range(0, draws.shape[0], _BLOCK):
             q = draws[start:start + _BLOCK].T
@@ -162,7 +167,8 @@ def estimate_probability(problem: ChanceProblem, x: Sequence[float],
     if len(bad := np.flatnonzero(~np.isfinite(x))):
         raise ModelError(f"decision entry {bad[0]} is {x[bad[0]]}, not finite")
     evaluator = UnionEvaluator(problem)
-    inside = sum(np.count_nonzero(evaluator.membership(x, draws))
+    coef = evaluator.coefficients(x)
+    inside = sum(np.count_nonzero(evaluator.membership(coef, draws))
                  for draws in sample_blocks(problem.dist, cfg.samples, cfg.seed, _BLOCK))
     est = float(inside / cfg.samples)
     half = 3.0 * float(np.sqrt(est * (1.0 - est) / cfg.samples))
@@ -185,28 +191,52 @@ def grid_workers(points: int) -> int:
 
 
 def _estimate_range(problem: ChanceProblem, cfg: McConfig, axes: list,
-                    estimates: np.ndarray, start: int, stop: int) -> None:
+                    estimates: np.ndarray, bests: np.ndarray, worker: int,
+                    start: int, stop: int) -> None:
     """Write the estimate of every grid point ``start <= flat < stop`` into
     ``estimates[flat]``; ``flat`` counts grid indices in lexicographic
-    order, the last coordinate fastest."""
+    order, the last coordinate fastest.
+
+    ``bests`` holds, per worker, the most draws inside of any point that
+    worker evaluated in full; this one writes only ``bests[worker]``, and
+    only upward.  A point whose draws inside plus draws left fall below
+    their maximum can neither beat nor tie that point: it draws no more,
+    and its estimate is -1.0, below every estimate.  A stale maximum only
+    abandons fewer points.
+    """
     evaluator = UnionEvaluator(problem)
     points = product(range(cfg.grid_points), repeat=problem.n)
     for flat, idx in enumerate(islice(points, start, stop), start):
-        x = np.array([axes[i][idx[i]] for i in range(problem.n)])
+        coef = evaluator.coefficients(np.array([axes[i][idx[i]] for i in range(problem.n)]))
+        inside, left = 0, cfg.samples
         # per-point derived seed: independent of evaluation order and of
         # how the points are split between workers
-        draws = sample(problem.dist, cfg.samples,
-                       np.random.SeedSequence([cfg.seed, flat]))
-        estimates[flat] = np.count_nonzero(evaluator.membership(x, draws)) / cfg.samples
+        for draws in sample_blocks(problem.dist, cfg.samples,
+                                   np.random.SeedSequence([cfg.seed, flat]), _BLOCK):
+            inside += np.count_nonzero(evaluator.membership(coef, draws))
+            left -= len(draws)
+            if inside + left < bests.max():
+                estimates[flat] = -1.0
+                break
+        else:
+            estimates[flat] = inside / cfg.samples
+            if inside > bests[worker]:
+                bests[worker] = inside
 
 
 def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, float]:
-    """Exhaustive baseline: best grid point of the decision box.
+    """Exact baseline: best grid point of the decision box.
 
     Ties are broken toward the lowest grid index in graded reverse
-    lexicographic order, making the result deterministic.  The points are
-    split into :func:`grid_workers` contiguous ranges; all but the first
-    are evaluated by forked children writing into one shared array, so
+    lexicographic order, making the result deterministic.  A point stops
+    drawing once ``inside + left < best``: its draws inside so far plus
+    its draws left, the most it can still reach, are fewer than ``best``,
+    the most draws inside of any point evaluated in full.  It can then
+    neither beat nor tie that point, so the result is that of evaluating
+    every point in full.  The points are split into :func:`grid_workers`
+    contiguous ranges; all but the first are evaluated by forked children
+    writing into one shared array, which also holds each worker's
+    ``best``, so every range abandons points against the best of all, and
     the result is the same for any number of workers.
     """
     total = cfg.grid_points**problem.n
@@ -222,17 +252,22 @@ def grid_search(problem: ChanceProblem, cfg: McConfig) -> tuple[np.ndarray, floa
     axes = [np.linspace(lo, hi, cfg.grid_points) for lo, hi in problem.decision_box]
     workers = grid_workers(total)
     bounds = [total * w // workers for w in range(workers + 1)]
-    # an anonymous mapping is shared with forked children, not copied
-    estimates = np.frombuffer(mmap.mmap(-1, 8 * total))
+    # an anonymous mapping is shared with forked children, not copied: the
+    # estimates, then one best count per worker (aligned float64 stores,
+    # which are atomic)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (total + workers)))
+    estimates, bests = shared[:total], shared[total:]
     estimates.fill(np.nan)
+    bests.fill(0.0)
     children = []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        for worker, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
             child = multiprocessing.get_context("fork").Process(
-                target=_estimate_range, args=(problem, cfg, axes, estimates, start, stop))
+                target=_estimate_range,
+                args=(problem, cfg, axes, estimates, bests, worker, start, stop))
             child.start()
             children.append(child)      # only started children are ended and joined
-        _estimate_range(problem, cfg, axes, estimates, bounds[0], bounds[1])
+        _estimate_range(problem, cfg, axes, estimates, bests, 0, bounds[0], bounds[1])
     except BaseException:
         for child in children:
             child.terminate()

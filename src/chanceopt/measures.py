@@ -14,10 +14,11 @@ joint entry at exponent (alpha, beta) is the decision moment at alpha
 times the random moment at beta, with decision coordinates first.
 
 Sampling draws every coordinate from one generator, in coordinate order.
-:func:`sample` returns all the draws at once, which the grid search does
-for each point's draws; :func:`sample_blocks` yields the same draws block
-by block from one reused buffer, so the Monte Carlo verification holds
-O(m x 4,096) draws whatever its sample count.
+:func:`sample_blocks` yields the draws block by block from one reused
+buffer, so the Monte Carlo verification and each grid point hold
+O(m x 4,096) draws whatever their sample count, and a grid point that can
+no longer win stops drawing; :func:`sample` returns the same draws at
+once.
 """
 
 from __future__ import annotations
@@ -245,9 +246,8 @@ def sample(spec: DistributionSpec, count: int, seed) -> np.ndarray:
     Coordinates are drawn one after another from one generator, each in a
     single call, so the draws equal ``rng.uniform(lo, hi, count)`` and
     ``rng.beta(a, b, count)`` column by column.  It holds all ``count * m``
-    draws at once, as the grid search does for each point's draws; the
-    Monte Carlo verification takes the same draws from
-    :func:`sample_blocks`, 4,096 at a time, so it holds O(m x 4,096) draws
-    whatever its sample count.
+    draws at once; the Monte Carlo verification and the grid search take
+    the same draws from :func:`sample_blocks`, 4,096 at a time, so they
+    hold O(m x 4,096) draws whatever their sample count.
     """
     return next(sample_blocks(spec, count, seed, count))

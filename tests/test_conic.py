@@ -255,6 +255,56 @@ class TestProjectDual:
             with pytest.raises(NumericalError, match="1 blocks of dim 1 "):
                 prog.gradient(x, prog.objective, theta_b)
 
+    @staticmethod
+    def _two_by_two():
+        """A program of one 2x2 block whose operator sums the block's svec."""
+        block = PsdBlock(dim=2, label="b0", coeffs=util.to_sparse(np.ones((3, 1))),
+                         constant=np.zeros((2, 2)))
+        box = SimpleSet(lower=np.array([-1.0]), upper=np.array([1.0]),
+                        pinned_idx=np.array([], dtype=int), pinned_val=np.array([]))
+        return ConicProgram(objective=np.zeros(1), blocks=[block], simple_set=box)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _strict(action):
+        """The warnings filter ``action``, or for "raise" numpy's error
+        state raising every floating-point error, overflow included."""
+        with warnings.catch_warnings(), contextlib.ExitStack() as stack:
+            if action == "raise":
+                stack.enter_context(np.errstate(all="raise"))
+            else:
+                warnings.simplefilter(action)
+            yield
+
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
+    def test_huge_finite_eigenvalues_project(self, action):
+        # eigenvalues +-1e160, whose squares overflow: the finiteness check
+        # squares nothing, so nothing warns or raises, from project_dual or
+        # from the gradient, and the projection is the clipped diagonal
+        prog = self._two_by_two()
+        s = np.array([1e160, 0.0, -1e160])
+        with self._strict(action):
+            got = prog.project_dual(s)
+            grad = prog.gradient(np.zeros(1), np.zeros(1), s)
+        assert got.tolist() == [1e160, 0.0, 0.0]
+        assert grad.tolist() == [-1e160]
+
+    @pytest.mark.parametrize("action", ["default", "error", "raise"])
+    @pytest.mark.parametrize("s", [[np.inf, 0.0, 0.0], [-np.inf, 0.0, 1.0],
+                                   [np.nan, 0.0, 1e160], [1e308, 1.4e308, 1e308]],
+                             ids=["inf", "-inf", "nan", "eigenvalue-overflows"])
+    def test_non_finite_eigenvalues_raise(self, action, s):
+        # an infinite or NaN entry, or finite entries whose largest
+        # eigenvalue (about 2e308) overflows, which LAPACK returns as inf
+        # without a warning: NumericalError from project_dual and gradient
+        prog = self._two_by_two()
+        s = np.array(s)
+        with self._strict(action):
+            with pytest.raises(NumericalError, match="1 blocks of dim 2 "):
+                prog.project_dual(s)
+            with pytest.raises(NumericalError, match="1 blocks of dim 2 "):
+                prog.gradient(np.zeros(1), np.zeros(1), s)
+
     @pytest.mark.parametrize("name", ["toy_d2", "union_d2"])
     def test_adjoint_is_transpose_on_repeated_calls(self, programs, name):
         prog = programs[name]

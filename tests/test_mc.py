@@ -58,6 +58,20 @@ def rising_problem() -> ChanceProblem:
     )
 
 
+def split_tie_problem() -> ChanceProblem:
+    # every draw is inside at x = (-1, 1) and at x = (0.5, -1), where a set's
+    # polynomial is q**2 >= 0, and none is at any other point of the 5 x 5
+    # grid, where q**2 would have to reach 4 * 0.25 = 1
+    x0, x1, q = (Polynomial.coordinate(3, i) for i in range(3))
+    return ChanceProblem(
+        name="split-tie", n=2, m=1,
+        sets=((q**2 - 4.0 * ((x0 + 1.0)**2 + (x1 - 1.0)**2),),
+              (q**2 - 4.0 * ((x0 - 0.5)**2 + (x1 + 1.0)**2),)),
+        dist=DistributionSpec((Uniform(-1, 1),)),
+        decision_box=((-1, 1), (-1, 1)),
+    )
+
+
 def pair_problem() -> ChanceProblem:
     x = Polynomial.coordinate(2, 0)
     q = Polynomial.coordinate(2, 1)
@@ -176,6 +190,11 @@ def one_parameter_problem(sets) -> ChanceProblem:
     )
 
 
+def membership(evaluator: UnionEvaluator, x, draws) -> np.ndarray:
+    """Which rows of ``draws`` lie in the union at ``x``."""
+    return evaluator.membership(evaluator.coefficients(x), draws)
+
+
 class TestUnionEvaluator:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_matches_reference_membership(self, name):
@@ -185,7 +204,7 @@ class TestUnionEvaluator:
         evaluator = UnionEvaluator(prob)
         for k, x in enumerate([(lo + hi) / 2, lo, rng.uniform(lo, hi)]):
             draws = sample(prob.dist, 20_000, k)
-            member = evaluator.membership(x, draws)
+            member = membership(evaluator, x, draws)
             assert np.array_equal(member, util.reference_membership(prob, x, draws))
 
     def test_mixed_powers_match_reference(self):
@@ -200,7 +219,7 @@ class TestUnionEvaluator:
         evaluator = UnionEvaluator(prob)
         draws = sample(prob.dist, 20_000, 2)
         for x_val in (-1.0, -0.3, 0.4, 1.0):
-            member = evaluator.membership(np.array([x_val]), draws)
+            member = membership(evaluator, np.array([x_val]), draws)
             assert 0.0 < member.mean() < 1.0
             assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
 
@@ -222,7 +241,7 @@ class TestUnionEvaluator:
         evaluator = UnionEvaluator(prob)
         draws = np.array(sample(prob.dist, 10_000, 4), order=layout)
         for x_val in (-1.0, 0.2, 1.0):
-            member = evaluator.membership(np.array([x_val]), draws)
+            member = membership(evaluator, np.array([x_val]), draws)
             assert 0.0 < member.mean() < 1.0
             assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
 
@@ -232,7 +251,8 @@ class TestUnionEvaluator:
         q = Polynomial.coordinate(2, 1)
         prob = one_parameter_problem(((x * q + q,),))
         draws = sample(prob.dist, 5_000, 0)
-        member = UnionEvaluator(prob).membership(np.array([-1.0]), draws)
+        evaluator = UnionEvaluator(prob)
+        member = membership(evaluator, np.array([-1.0]), draws)
         assert member.all()
         assert np.array_equal(member, util.reference_membership(prob, [-1.0], draws))
 
@@ -242,8 +262,8 @@ class TestUnionEvaluator:
         evaluator = UnionEvaluator(prob)
         assert evaluator.shape == (1, 1)
         draws = sample(prob.dist, 5_000, 0)
-        assert evaluator.membership(np.array([0.5]), draws).all()
-        assert not evaluator.membership(np.array([0.25]), draws).any()
+        assert membership(evaluator, np.array([0.5]), draws).all()
+        assert not membership(evaluator, np.array([0.25]), draws).any()
 
     def test_union_of_q_free_and_q_dependent_sets(self):
         x = Polynomial.coordinate(2, 0)
@@ -252,10 +272,10 @@ class TestUnionEvaluator:
         evaluator = UnionEvaluator(prob)
         draws = sample(prob.dist, 5_000, 1)
         for x_val in (0.75, 0.5, 0.0, -1.0):
-            member = evaluator.membership(np.array([x_val]), draws)
+            member = membership(evaluator, np.array([x_val]), draws)
             assert np.array_equal(member, util.reference_membership(prob, [x_val], draws))
-        assert evaluator.membership(np.array([0.75]), draws).all()
-        assert np.array_equal(evaluator.membership(np.array([0.0]), draws),
+        assert membership(evaluator, np.array([0.75]), draws).all()
+        assert np.array_equal(membership(evaluator, np.array([0.0]), draws),
                               draws[:, 0] >= 0.5)
 
 
@@ -342,6 +362,42 @@ class TestGridSearch:
             assert np.array_equal(x, x_ref)
             assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_abandoning_keeps_a_tie_across_ranges(self, cpus, monkeypatch):
+        # the two points with every draw inside are flat 4 = (-1, 1), in the
+        # first range, and flat 15 = (0.5, -1), in a later one; flat 15 comes
+        # first in graded reverse lexicographic order (degree 3 against 4),
+        # so it wins although flat 4 reaches the same count before it: a
+        # point that can still tie the best draws on (4 workers are more
+        # than the CPUs of a small host, so the shared counts race)
+        prob, cfg = split_tie_problem(), McConfig(samples=10_000, grid_points=5, seed=0)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        assert grid_workers(cfg.grid_points**prob.n) == (
+            cpus if "fork" in multiprocessing.get_all_start_methods() else 1)
+        x, p = grid_search(prob, cfg)
+        x_ref, p_ref = util.reference_grid_search(prob, cfg)
+        assert (x.tolist(), p) == ([0.5, -1.0], 1.0)
+        assert np.array_equal(x, x_ref) and p == p_ref
+        assert multiprocessing.active_children() == []
+
+    def test_control_grid_abandons_most_points(self, monkeypatch):
+        # in process, the control benchmark's grid (1,331 points of 5 blocks)
+        # pulls under 35% of its blocks and still finds the pinned point
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        real_sample_blocks = mc.sample_blocks
+        pulled = []
+
+        def counted_sample_blocks(spec, count, seed, block):
+            for draws in real_sample_blocks(spec, count, seed, block):
+                pulled.append(len(draws))
+                yield draws
+
+        monkeypatch.setattr(mc, "sample_blocks", counted_sample_blocks)
+        prob, _ = load_bundled("example4_control")
+        x, p = grid_search(prob, McConfig(samples=20_000, grid_points=11, seed=0))
+        assert list(x) == [-1.0, 0.40000000000000013, -1.0] and p == 0.83905
+        assert len(pulled) < 0.35 * 11**3 * 5
+
     @pytest.mark.parametrize("cause", ["one cpu", "one point", "no fork", "daemonic"])
     def test_in_process_fallback(self, cause, monkeypatch):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 1 if cause == "one cpu" else 4)
@@ -359,14 +415,14 @@ class TestGridSearch:
         # the child 4..8; a failing child is reported once it has exited, a
         # failing parent ends the child before re-raising
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-        real_sample = mc.sample
+        real_sample_blocks = mc.sample_blocks
 
-        def failing_sample(spec, count, seed):
+        def failing_sample_blocks(spec, count, seed, block):
             if (seed.entropy[1] >= 4) == (failing == "child"):
                 raise RuntimeError("injected sampling failure")
-            return real_sample(spec, count, seed)
+            return real_sample_blocks(spec, count, seed, block)
 
-        monkeypatch.setattr(mc, "sample", failing_sample)
+        monkeypatch.setattr(mc, "sample_blocks", failing_sample_blocks)
         error, match = ((ChanceOptError, r"points 4\.\.8 exited with code 1")
                         if failing == "child" else (RuntimeError, "injected"))
         with pytest.raises(error, match=match):
