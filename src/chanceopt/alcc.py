@@ -6,8 +6,15 @@ Outer iterations minimize the augmented Lagrangian
 
 inexactly over the simple set, where d is the distance to the product of
 PSD cones, then update the dual and grow the penalty geometrically
-(nu_k = beta^k nu_0).  Each outer's inner problem goes to one of two
-inner solvers, which share the stop test and the budget:
+(nu_k = beta^k nu_0).  Each outer's inner problem
+
+    min phi(x) = c_over_nu.x + |proj(theta_b - A x)|^2 / 2
+
+over the simple set goes to one of two inner solvers, called as
+``inner(program, start, c_over_nu, theta_b, L, threshold, ell_max)``
+with c/nu_k and theta + b (``ConicProgram.gradient``'s arguments), the
+step bound L, the stop threshold and the budget; they share the stop
+test and the budget, and read nothing of the schedule:
 
 - ``newton_inner``, for programs of at most ``_NEWTON_MAX_SCALARS``
   scalars: projected semismooth Newton steps on the generalized Hessian
@@ -24,9 +31,9 @@ Newton solve was faster than APG on every bundled program, from 4x to
 100x, and ended closer to its dual bound; union order 2 (2,128 scalars) is
 bound by dense 66x66 eigendecompositions either way and stays on APG, bit
 for bit.  Both inner solvers count one inner iteration per projection and
-stop when the projected step is at most eta_k / (2 L nu_k), or when the
-budget l_max = k^(1+c) beta^k B sqrt(2 nu_0 L / alpha_0), capped by a
-configured bound, is spent.  Newton has one more stop, ``floor``, for a
+stop when the projected step is at most the threshold, eta_k / (2 L nu_k)
+in outer k, or when the budget l_max = k^(1+c) beta^k B sqrt(2 nu_0 L /
+alpha_0), capped by a configured bound, is spent.  Newton has one more stop, ``floor``, for a
 projected step already at rounding level: in late outers the step test's
 threshold falls below what rounding lets any step reach.  The PSD cone is
 self-dual, so one eigendecomposition per block serves both the primal
@@ -45,7 +52,10 @@ calls ``eigh``'s, and copies the free part of the system without
 ``np.ix_``.  Each operation and its order are those of the plain
 formulas, so the iterates are the same bits.
 
-``alcc_steps`` yields each outer's ``OuterState``: record, iterate and
+``alcc_steps`` owns the schedule: it computes each outer's nu_k, c/nu_k,
+theta + b, threshold and budget once, saturating a power that overflows
+at inf and stopping with ``NumericalError`` before an outer whose nu_k is
+not finite.  It yields each outer's ``OuterState``: record, iterate and
 ``Z = nu_k proj(theta + b - A(x))``, the PSD dual of the objective; it
 takes the inner solver as an argument, and both solvers return their
 Newton steps with the point (None from APG).  ``alcc_solve`` picks the
@@ -183,23 +193,24 @@ def operator_norm(program: ConicProgram, tol: float = 1e-4, max_iter: int = 2000
     return OperatorNorm(sigma, False, max_iter)
 
 
-def apg_inner(program: ConicProgram, start: np.ndarray, nu: float,
-              theta: np.ndarray, L: float, eta_over_nu: float,
+def apg_inner(program: ConicProgram, start: np.ndarray, c_over_nu: np.ndarray,
+              theta_b: np.ndarray, L: float, threshold: float,
               ell_max: float) -> tuple[np.ndarray, int, str, None]:
     """Accelerated projected-gradient loop for one outer iteration.
 
-    Stops when the projected step is at most eta_over_nu / (2 L)
-    (``step_small``), or when the iteration budget runs out
-    (``iter_cap``).  The step test would bound a subgradient's norm by
-    eta/nu if L were at least |A|^2; the power iteration's sigma^2 comes
-    from below and can fall short of it, so it does not certify that.
-    Returns (point, inner iterations, stop, None): a first-order loop
-    takes no Newton steps.
+    Minimizes ``phi(x) = c_over_nu.x + |proj(theta_b - A x)|^2 / 2`` over
+    the simple set from ``start``, with gradient steps of length 1/L:
+    ``c_over_nu`` and ``theta_b`` are ``ConicProgram.gradient``'s
+    arguments, c/nu and theta + b.  Stops when the projected step is at
+    most ``threshold`` (``step_small``), or when the iteration count
+    passes ``ell_max`` (``iter_cap``).  ``alcc_steps`` passes the
+    threshold eta / (2 L nu), where the step test would bound a
+    subgradient's norm by eta/nu if L were at least |A|^2; the power
+    iteration's sigma^2 comes from below and can fall short of it, so it
+    does not certify that.  Returns (point, inner iterations, stop,
+    None): a first-order loop takes no Newton steps.
     """
-    c_over_nu = program.objective / nu
-    theta_b = theta + program.constants
     gradient, project = program.gradient, program.simple_set.project
-    threshold = eta_over_nu / (2.0 * L)
 
     x_prev = y = start         # x_{l-1}^{(1)} and the extrapolated point
     t = 1.0
@@ -237,39 +248,36 @@ _cholesky = _umath_linalg.cholesky_lo
 _solve = _umath_linalg.solve1
 
 
-def newton_inner(program: ConicProgram, start: np.ndarray, nu: float,
-                 theta: np.ndarray, L: float, eta_over_nu: float,
+def newton_inner(program: ConicProgram, start: np.ndarray, c_over_nu: np.ndarray,
+                 theta_b: np.ndarray, L: float, threshold: float,
                  ell_max: float) -> tuple[np.ndarray, int, str, int]:
     """Projected semismooth Newton loop for one outer iteration.
 
-    Minimizes ``phi(x) = c.x / nu + |proj(theta + b - A x)|^2 / 2`` over
-    the simple set.  Each evaluation of phi and its gradient is one
-    ``ConicProgram.gradient`` pass, phi read from the clipped eigenvalues,
-    and counts as one inner iteration.  At x the coordinates pinned, or at
-    a bound with the gradient pointing out of the box, stay put (Bertsekas'
-    projected Newton); on the free ones the step solves
-    ``(H + kappa |g| I) d = -g`` by Cholesky, with H the generalized Hessian
-    ``ConicProgram.newton_matrix`` at x, through LAPACK's gufuncs as the
-    projection is.  The trial point ``proj(x + d)`` is accepted on the
+    Minimizes ``apg_inner``'s ``phi(x) = c_over_nu.x + |proj(theta_b - A
+    x)|^2 / 2`` over the simple set from ``start``.  Each evaluation of
+    phi and its gradient is one ``ConicProgram.gradient`` pass, phi read
+    from the clipped eigenvalues, and counts as one inner iteration.  At x
+    the coordinates pinned, or at a bound with the gradient pointing out
+    of the box, stay put (Bertsekas' projected Newton); on the free ones
+    the step solves ``(H + kappa |g| I) d = -g`` by Cholesky, with H the
+    generalized Hessian ``ConicProgram.newton_matrix`` at x, through
+    LAPACK's gufuncs as the projection is.  The trial point ``proj(x + d)`` is accepted on the
     projected Armijo test or when its projected step is 10% shorter;
     otherwise, or when the factorization fails (its factor is NaN), the
     loop takes one projected-gradient step of length 1/L from x.  With no
     coordinate free the step is empty, and accepted.
 
     The stops are ``apg_inner``'s: the projected step ``proj(x - g/L) - x``
-    at most eta_over_nu / (2 L) (``step_small``) or the budget spent
+    at most ``threshold`` (``step_small``) or the budget ``ell_max`` spent
     (``iter_cap``), and one more, ``floor``, when that step is already at
     rounding level, at most 64 eps (1 + |x|), and no step can shorten it.
     Once the step test holds the loop tries one more Newton step, which
     costs one projection and near a solution gains digits (Newton
-    converges fast there, the test is loose when nu is small): the loop
+    converges fast there, the threshold is loose in early outers): the loop
     returns after it if it is accepted, else at once.  Returns, as
     ``apg_inner`` does, the projected-gradient point ``proj(x - g/L)``, the
     inner iterations and the stop, and then the accepted Newton steps.
     """
-    c_over_nu = program.objective / nu
-    theta_b = theta + program.constants
-    threshold = eta_over_nu / (2.0 * L)
     gradient, project = program.gradient, program.simple_set.project
     lo, hi = program.simple_set.bounds
     pinned = lo == hi
@@ -346,6 +354,14 @@ def dual_bound(program: ConicProgram, z: np.ndarray) -> float:
     return float(z @ program.constants + (r * bound).sum())
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` for a positive base, inf where the power overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 class OuterState(NamedTuple):
     record: OuterRecord
     x: np.ndarray
@@ -363,31 +379,41 @@ def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
     steps, or None from a first-order solver: only a first-order outer
     reports ``cap_limited``, as only its budget is the first-order bound
     l_max.  Projections run in lanes only inside ``program.lanes()``, with
-    the same bits.  Raises ``NumericalError`` on a non-finite iterate.
+    the same bits.
+
+    The schedule lives here alone.  Outer k hands its inner solver c/nu_k,
+    theta + b, which the dual update then uses, the threshold eta_k /
+    nu_k / (2 L) and the budget; nu_{k+1} = beta^(k+1) nu_0 rescales theta
+    and is carried into outer k+1, and the last outer computes no
+    rescale.  A power that overflows saturates at inf, so eta_k goes to 0
+    and l_max to its cap; a nu_k that is not finite raises
+    ``NumericalError`` before outer k runs, after the outers before it
+    are yielded.  Raises ``NumericalError`` on a non-finite iterate too.
     """
     inner = inner_solver(program) if inner is None else inner
     L = sigma * sigma if sigma > 0 else 1.0     # objective is linear: L_gamma = 0
     B = program.simple_set.diameter()
     c, b = program.objective, program.constants
-    theta = np.zeros(len(b))
 
     # eta_0 from the initial composite gradient, dual started at zero
     grad0 = program.gradient(x, c / params.nu0, b)
     eta0 = 0.5 * params.nu0 * float(np.linalg.norm(grad0))
     if eta0 == 0.0:
         eta0 = 1.0
+    root = math.sqrt(2.0 * params.nu0 * L / params.alpha0)
 
+    # theta + b with theta = 0: adding 0.0 turns -0 into 0, as that sum does
+    theta_b, nu_k = b + 0.0, params.beta * params.nu0
     for k in range(1, params.max_outer + 1):
-        nu_k = params.beta**k * params.nu0
-        decay = k ** (2.0 * (1.0 + params.c)) * params.beta**k
-        eta_k = eta0 / decay
-        ell_exact = k ** (1.0 + params.c) * params.beta**k * B * np.sqrt(
-            2.0 * params.nu0 * L / params.alpha0
-        )
-        ell_max = min(ell_exact, float(params.max_inner_cap))
-
-        args = (program, x, nu_k, theta, L, eta_k / nu_k, ell_max)
-        x, inner_iters, reason, newton_steps = inner(*args)
+        if not math.isfinite(nu_k):
+            raise NumericalError(f"penalty nu_{k} = {nu_k} overflows before outer iteration {k}")
+        beta_k = _power(params.beta, k)
+        # eta_k / nu_k / (2 L), with eta_k = eta_0 / (k^(2 (1+c)) beta^k)
+        threshold = eta0 / (_power(k, 2.0 * (1.0 + params.c)) * beta_k) / nu_k / (2.0 * L)
+        ell_exact = _power(k, 1.0 + params.c) * beta_k * B * root
+        # the budget is capped, also where it is NaN (inf times a zero diameter)
+        x, inner_iters, reason, newton_steps = inner(program, x, c / nu_k, theta_b, L, threshold,
+                                                     min(params.max_inner_cap, ell_exact))
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite iterate at outer iteration {k}")
         record = OuterRecord(
@@ -396,11 +422,12 @@ def alcc_steps(program: ConicProgram, params: SolverParams, x: np.ndarray,
             cap_limited=newton_steps is None and ell_exact > params.max_inner_cap,
             newton_steps=newton_steps or 0,
         )
-
-        # theta is kept as proj(.) scaled by nu_k / nu_{k+1} for the next outer
-        proj = program.project_dual(theta + b - program.apply(x))
-        theta = (nu_k / (params.beta ** (k + 1) * params.nu0)) * proj
+        proj = program.project_dual(theta_b - program.apply(x))
         yield OuterState(record, x, nu_k * proj)
+        if k < params.max_outer:
+            # theta is proj scaled by nu_k / nu_{k+1} for the next outer
+            nu_next = _power(params.beta, k + 1) * params.nu0
+            theta_b, nu_k = (nu_k / nu_next) * proj + b, nu_next
 
 
 def alcc_solve(program: ConicProgram, params: SolverParams = SolverParams(),

@@ -186,13 +186,10 @@ class TestAugLagrangian:
             assert abs(fd - float(grad @ v)) < 1e-5
 
 
-def _apg_in_place(program, start, nu, theta, L, eta_over_nu, ell_max):
+def _apg_in_place(program, start, c_over_nu, theta_b, L, threshold, ell_max):
     """``apg_inner`` as a chain of in-place operations: the gradient array
     becomes the gradient step, then the projected step, and the
     extrapolated point is rewritten in place.  Returns (point, iterations)."""
-    c_over_nu = program.objective / nu
-    theta_b = theta + program.constants
-    threshold = eta_over_nu / (2.0 * L)
     x_prev, x2, t, ell = start.copy(), start.copy(), 1.0, 0
     while True:
         ell += 1
@@ -220,9 +217,10 @@ class TestApgInner:
         theta = rng.uniform(0.0, 0.1, len(prog.constants))
         start = prog.simple_set.project(rng.uniform(-1.0, 1.0, prog.num_scalars))
         L = operator_norm(prog).sigma ** 2
+        args = (prog, start, prog.objective / 3.0, theta + prog.constants, L)
         for eta_over_nu, cap, stop in ((0.0, 300, "iter_cap"), (1e-3, 2000, "step_small")):
-            x, iters, reason, _ = apg_inner(prog, start, 3.0, theta, L, eta_over_nu, cap)
-            want, want_iters = _apg_in_place(prog, start, 3.0, theta, L, eta_over_nu, cap)
+            x, iters, reason, _ = apg_inner(*args, eta_over_nu / (2.0 * L), cap)
+            want, want_iters = _apg_in_place(*args, eta_over_nu / (2.0 * L), cap)
             assert reason == stop and iters == want_iters and x.tobytes() == want.tobytes()
 
     def test_momentum_sequence_prefix(self):
@@ -242,16 +240,15 @@ class TestApgInner:
                                     lower=-10.0, upper=10.0)
         x_expected = np.linalg.solve(a_mat, b_vec)
         L = operator_norm(prog, tol=1e-8).sigma ** 2
-        x, iters, reason, steps = apg_inner(prog, np.zeros(4), 1.0,
-                                            np.zeros(prog.operator.shape[0]),
-                                            L, 2e-10 * L, 500)
+        x, iters, reason, steps = apg_inner(prog, np.zeros(4), prog.objective,
+                                            prog.constants, L, 1e-10, 500)
         assert iters <= 500 and reason == "step_small" and steps is None
         assert np.max(np.abs(x - x_expected)) < 1e-6
 
     def test_immediate_stop_at_fixed_point(self):
         prog = scalar_block_program(np.eye(2), [-5.0, -5.0], np.zeros(2))
         x0 = np.array([0.25, -0.5])
-        x, iters, reason, _ = apg_inner(prog, x0, 1.0, np.zeros(2), 1.0, 1e-3, 100)
+        x, iters, reason, _ = apg_inner(prog, x0, prog.objective, prog.constants, 1.0, 5e-4, 100)
         assert iters == 1 and reason == "step_small"
         assert np.allclose(x, x0)
 
@@ -272,8 +269,8 @@ class TestNewtonInner:
         expect = lsq_linear(a_mat, b_vec, bounds=(-1.0, 1.0), tol=1e-14).x
         assert np.sum(np.abs(expect) >= 1.0 - 1e-9) >= 2
         L = operator_norm(prog, tol=1e-8).sigma ** 2
-        x, iters, reason, steps = newton_inner(prog, np.zeros(6), 1.0, np.zeros(12), L,
-                                               2e-10 * L, 500)
+        x, iters, reason, steps = newton_inner(prog, np.zeros(6), prog.objective,
+                                               prog.constants, L, 1e-10, 500)
         assert reason in ("step_small", "floor") and iters <= 12
         # one projection at the start and one per accepted Newton step, and
         # at most a last trial rejected: no projected-gradient step
@@ -311,16 +308,16 @@ class TestNewtonInner:
 
         monkeypatch.setattr(ConicProgram, "newton_matrix", newton_matrix)
         x0 = prog.simple_set.project(np.zeros(n))
-        theta = np.zeros(len(prog.constants))
         L = operator_norm(prog).sigma ** 2
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            x, iters, reason, steps = newton_inner(prog, x0, 1.0, theta, L, 1e-12 * L, 25)
+            x, iters, reason, steps = newton_inner(prog, x0, prog.objective, prog.constants,
+                                                   L, 5e-13, 25)
         assert reason == "iter_cap" and iters == 26 and steps == 0 and len(calls) == 25
         assert np.isfinite(x).all()
         expect = x0
         for _ in range(iters):
-            g = prog.gradient(expect, prog.objective, theta + prog.constants)
+            g = prog.gradient(expect, prog.objective, prog.constants)
             expect = prog.simple_set.project(expect - g / L)
         assert x.tobytes() == expect.tobytes()
 
@@ -329,11 +326,12 @@ class TestNewtonInner:
         # the box, so the Newton system is 0x0 and its step is empty; the
         # loop accepts that zero step and stops, with nothing raised or warned
         prog = scalar_block_program([[1.0]], [2.0], [0.0])
-        x0, theta = np.array([1.0]), np.zeros(1)
-        assert prog.gradient(x0, prog.objective, theta + prog.constants)[0] < 0.0
+        x0 = np.array([1.0])
+        assert prog.gradient(x0, prog.objective, prog.constants)[0] < 0.0
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            x, iters, reason, steps = newton_inner(prog, x0, 1.0, theta, 1.0, 1e-3, 100)
+            x, iters, reason, steps = newton_inner(prog, x0, prog.objective, prog.constants,
+                                                   1.0, 5e-4, 100)
         assert (x.tolist(), iters, reason, steps) == ([1.0], 2, "step_small", 1)
 
     def test_size_rule(self):
@@ -493,6 +491,31 @@ class TestAlccSolve:
         assert trace.x.tobytes() == first.x.tobytes()
         assert trace.dual.tobytes() == first.dual.tobytes()
 
+    def test_overflowing_penalty_raises_before_the_outer(self):
+        # nu_2 = 1e400 overflows: outer 1 runs and is kept, outer 2 never starts
+        prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.01)
+        with pytest.raises(NumericalError, match=r"penalty nu_2 = inf overflows before "
+                                                 r"outer iteration 2") as exc:
+            alcc_solve(prog, SolverParams(beta=1e200, max_outer=2))
+        trace = exc.value.trace
+        assert trace.status == "numerical_error"
+        assert [r.nu for r in trace.records] == [1e200]
+
+    @pytest.mark.parametrize("params", [
+        SolverParams(beta=1e200, max_outer=1),
+        SolverParams(c=1e10, max_outer=3),
+        SolverParams(max_inner_cap=10**400, max_outer=2),
+    ], ids=["last-outer-penalty", "schedule-exponent", "cap-beyond-float"])
+    def test_overflowing_schedule_ends_with_a_status(self, params):
+        # the last outer computes no nu_{k+1}; k^(1+c) = inf sends eta_k to
+        # 0 and the budget to its cap; a cap no float holds is compared exactly
+        prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = alcc_solve(prog, params)
+        assert trace.status in ("converged", "max_outer")
+        assert len(trace.records) == params.max_outer and np.isfinite(trace.x).all()
+
     def test_planted_kkt_quality(self):
         # ten random strictly complementary instances: the last outer's dual
         # is PSD and its weak-duality bound sits just below the optimum
@@ -574,6 +597,54 @@ class TestAlccSteps:
         assert all(s.record.newton_steps == 0 for s in runs[1])
         # a Newton solve counts its steps and is never cap-limited, wrapped or not
         assert all(s.record.newton_steps > 0 and not s.record.cap_limited for s in runs[3])
+
+    def test_schedule_handed_to_the_inner_solver(self):
+        # an inner solver that keeps its start sees the schedule alone; the
+        # oracle is the schedule's formulas with theta kept apart from b and
+        # nu_k = beta^k nu_0 recomputed each outer, where carrying nu_k * beta
+        # would round differently from outer 2 on at these parameters
+        prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.01)
+        params = SolverParams(nu0=0.1, beta=1.7, c=0.4, alpha0=2.0, max_outer=6,
+                              max_inner_cap=50)
+        x0 = prog.simple_set.project(np.zeros(prog.num_scalars))
+        sigma = operator_norm(prog).sigma
+        calls = []
+
+        def keep(program, start, c_over_nu, theta_b, L, threshold, ell_max):
+            calls.append((c_over_nu.tobytes(), theta_b.tobytes(), L, threshold, ell_max))
+            return start, 1, "step_small", None
+
+        records = [s.record for s in alcc_steps(prog, params, x0, sigma, keep)]
+        c, b, L = prog.objective, prog.constants, sigma ** 2
+        B, theta = prog.simple_set.diameter(), np.zeros(len(b))
+        eta0 = 0.5 * params.nu0 * float(np.linalg.norm(prog.gradient(x0, c / params.nu0, b)))
+        expect = []
+        for k in range(1, params.max_outer + 1):
+            nu = params.beta ** k * params.nu0
+            eta = eta0 / (k ** (2.0 * (1.0 + params.c)) * params.beta ** k)
+            ell = (k ** (1.0 + params.c) * params.beta ** k * B
+                   * np.sqrt(2.0 * params.nu0 * L / params.alpha0))
+            expect.append(((c / nu).tobytes(), (theta + b).tobytes(), L,
+                           eta / nu / (2.0 * L), min(ell, params.max_inner_cap)))
+            proj = prog.project_dual(theta + b - prog.apply(x0))
+            theta = nu / (params.beta ** (k + 1) * params.nu0) * proj
+            assert records[k - 1].nu == nu
+        assert calls == expect
+
+    def test_nan_budget_takes_the_cap(self):
+        # sqrt(2 nu_0 L / alpha_0) underflows to 0, so outer 1's budget is 0;
+        # from outer 2 on k^(1+c) = inf, and inf * 0 = NaN, which takes the cap
+        prog = build_chance_sdp(util.toy_problem(), 2, omega_r=0.01)
+        params = SolverParams(nu0=1e-100, alpha0=1e300, c=1e10, max_outer=3, max_inner_cap=50)
+        x0 = prog.simple_set.project(np.zeros(prog.num_scalars))
+        budgets = []
+
+        def keep(program, start, c_over_nu, theta_b, L, threshold, ell_max):
+            budgets.append(ell_max)
+            return start, 1, "step_small", None
+
+        list(alcc_steps(prog, params, x0, operator_norm(prog).sigma, keep))
+        assert budgets == [0.0, 50, 50]
 
     def test_serial_steps_match_a_laned_solve(self, monkeypatch):
         util.plan_for_cpus(monkeypatch, 2)

@@ -370,6 +370,14 @@ class TestCli:
         doc = json.loads((tmp_path / "toy_d2_report.json").read_text())
         assert doc["status"] == "complete_with_flags"
 
+    def test_overflowing_penalty_exit_two(self, tmp_path, capsys):
+        # beta^2 = 1e400 overflows before outer 2: a numerical error, no traceback
+        assert main(["solve", "example1_toy", "--beta-growth", "1e200", "--max-outer", "2",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: penalty nu_2 = inf overflows before outer iteration 2")
+        assert "Traceback" not in err
+
     def test_verify_at_flag(self, toy_file, tmp_path, capsys):
         code = main(["verify", str(toy_file), "--at", "0.5",
                      "--samples", "40000", "--out-dir", str(tmp_path)])
